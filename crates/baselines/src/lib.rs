@@ -30,10 +30,9 @@ pub use liu_tarjan::{liu_tarjan, LtVariant};
 pub use random_mate::random_mate;
 pub use shiloach_vishkin::shiloach_vishkin;
 pub use solver::{
-    IncrementalUnionFind, LabelPropSolver, LiuTarjanSolver, RandomMateSolver,
-    ShiloachVishkinSolver, UnionFindSolver,
+    LabelPropSolver, LiuTarjanSolver, RandomMateSolver, ShiloachVishkinSolver, UnionFindSolver,
 };
-pub use union_find::{spanning_forest, union_find, DisjointSets};
+pub use union_find::{spanning_forest, union_find, DisjointSets, IncrementalUnionFind};
 
 /// Telemetry common to the parallel baselines.
 #[derive(Debug, Clone, Copy, Default)]

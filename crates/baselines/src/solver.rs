@@ -2,12 +2,9 @@
 //! conformance tests, and bench harness can drive them through the
 //! registry interchangeably with the paper's algorithm.
 
-use crate::union_find::DisjointSets;
 use crate::{label_propagation, liu_tarjan, random_mate, shiloach_vishkin, union_find, LtVariant};
-use parcc_graph::incremental::{BatchedUpdate, IncrementalSolver};
 use parcc_graph::solver::{ComponentSolver, SolveCtx, SolveReport, SolverCaps};
 use parcc_graph::Graph;
-use parcc_pram::edge::{Edge, Vertex};
 
 /// Sequential union–find (`[Tar72]`): the `O(m α(n))` oracle.
 pub struct UnionFindSolver;
@@ -32,78 +29,6 @@ impl ComponentSolver for UnionFindSolver {
         SolveReport::measure(ctx, |_| (union_find(g), None))
     }
 }
-
-impl BatchedUpdate for UnionFindSolver {
-    // The label forest is natively incremental: absorbing a batch is just
-    // `union` per edge, near-constant amortized — no restart, unlike the
-    // flatten-and-resolve default.
-    fn begin_incremental(&'static self, n: usize) -> Box<dyn IncrementalSolver> {
-        Box::new(IncrementalUnionFind::new(n))
-    }
-}
-
-/// Long-lived union–find state behind [`BatchedUpdate`]: the serve mode's
-/// default write path. Each absorbed batch unions its edges into the
-/// growing forest; labels are read out as `find(v)` per vertex, which is
-/// canonical by construction.
-pub struct IncrementalUnionFind {
-    dsu: DisjointSets,
-    edges: u64,
-    batches: u64,
-}
-
-impl IncrementalUnionFind {
-    /// State over `n` initial singleton vertices.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        Self {
-            dsu: DisjointSets::new(n),
-            edges: 0,
-            batches: 0,
-        }
-    }
-}
-
-impl IncrementalSolver for IncrementalUnionFind {
-    fn algo(&self) -> &'static str {
-        "union-find"
-    }
-    fn n(&self) -> usize {
-        self.dsu.len()
-    }
-    fn edges_absorbed(&self) -> u64 {
-        self.edges
-    }
-    fn batches_absorbed(&self) -> u64 {
-        self.batches
-    }
-    fn ensure_n(&mut self, n: usize) {
-        self.dsu.grow(n);
-    }
-    fn absorb_batch(&mut self, edges: &[Edge]) {
-        let need = edges
-            .iter()
-            .map(|e| e.u().max(e.v()) as usize + 1)
-            .max()
-            .unwrap_or(0);
-        self.dsu.grow(need);
-        for e in edges {
-            self.dsu.union(e.u(), e.v());
-        }
-        self.edges += edges.len() as u64;
-        self.batches += 1;
-    }
-    fn labels(&mut self) -> Vec<Vertex> {
-        (0..self.dsu.len() as u32)
-            .map(|v| self.dsu.find(v))
-            .collect()
-    }
-}
-
-impl BatchedUpdate for ShiloachVishkinSolver {}
-impl BatchedUpdate for LabelPropSolver {}
-impl BatchedUpdate for RandomMateSolver {}
-impl BatchedUpdate for LiuTarjanSolver {}
 
 /// Shiloach–Vishkin (`[SV82]`): `O(log n)` time, `O(m log n)` work.
 pub struct ShiloachVishkinSolver;
@@ -277,57 +202,6 @@ mod tests {
                 s.name()
             );
         }
-    }
-
-    #[test]
-    fn incremental_union_find_matches_batch_oracle_per_epoch() {
-        let g = gen::gnp(150, 0.025, 11);
-        let edges = g.edges();
-        static UF: UnionFindSolver = UnionFindSolver;
-        let mut inc = UF.begin_incremental(10);
-        assert_eq!(inc.algo(), "union-find");
-        let step = edges.len().div_ceil(4).max(1);
-        let mut absorbed = 0;
-        for (i, batch) in edges.chunks(step).enumerate() {
-            inc.absorb_batch(batch);
-            absorbed += batch.len();
-            let prefix = Graph::new(inc.n(), edges[..absorbed].to_vec());
-            let labels = inc.labels();
-            assert!(
-                same_partition(&labels, &components(&prefix)),
-                "epoch {i}: incremental forest diverges from the batch oracle"
-            );
-            for &l in &labels {
-                assert_eq!(labels[l as usize], l, "labels must be canonical");
-            }
-            assert_eq!(inc.batches_absorbed(), i as u64 + 1);
-        }
-        assert_eq!(inc.edges_absorbed(), edges.len() as u64);
-    }
-
-    #[test]
-    fn incremental_union_find_grows_vertex_space() {
-        let mut inc = IncrementalUnionFind::new(2);
-        inc.absorb_batch(&[Edge::new(0, 7)]);
-        assert_eq!(inc.n(), 8);
-        let labels = inc.labels();
-        assert_eq!(labels[0], labels[7]);
-        assert_ne!(labels[1], labels[0]);
-        inc.ensure_n(12);
-        assert_eq!(inc.labels().len(), 12);
-        inc.absorb_batch(&[]); // empty batches count but change nothing
-        assert_eq!((inc.batches_absorbed(), inc.edges_absorbed()), (2, 1));
-    }
-
-    #[test]
-    fn registry_baselines_fall_back_to_flatten_and_resolve() {
-        static LP: LabelPropSolver = LabelPropSolver;
-        let mut inc = LP.begin_incremental(4);
-        assert_eq!(inc.algo(), "label-prop");
-        inc.absorb_batch(&[Edge::new(0, 1), Edge::new(2, 3)]);
-        inc.absorb_batch(&[Edge::new(1, 2)]);
-        let labels = inc.labels();
-        assert!(labels.iter().all(|&l| l == labels[0]), "all joined");
     }
 
     #[test]

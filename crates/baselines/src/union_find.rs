@@ -3,7 +3,7 @@
 //! workspace's second ground-truth oracle (besides BFS).
 
 use parcc_graph::repr::Graph;
-use parcc_pram::edge::Vertex;
+use parcc_pram::edge::{Edge, Vertex};
 
 /// Disjoint-set forest.
 #[derive(Debug)]
@@ -82,6 +82,59 @@ pub fn union_find(g: &Graph) -> Vec<Vertex> {
         dsu.union(e.u(), e.v());
     }
     (0..g.n() as u32).map(|v| dsu.find(v)).collect()
+}
+
+/// Long-lived union–find state: the serve and out-of-core engine. Each
+/// absorbed batch unions its edges into the growing forest (near-constant
+/// amortized work per edge, no restart); labels are read out as `find(v)`
+/// per vertex, which is canonical by construction.
+#[derive(Debug)]
+pub struct IncrementalUnionFind {
+    dsu: DisjointSets,
+}
+
+impl IncrementalUnionFind {
+    /// State over `n` initial singleton vertices.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        Self {
+            dsu: DisjointSets::new(n),
+        }
+    }
+
+    /// Grow the vertex space to at least `n` (no-op when already larger).
+    pub fn ensure_n(&mut self, n: usize) {
+        self.dsu.grow(n);
+    }
+
+    /// Fold one edge batch into the forest, growing the vertex space to
+    /// cover every mentioned id. Empty batches are legal no-ops.
+    pub fn absorb_batch(&mut self, edges: &[Edge]) {
+        let need = edges
+            .iter()
+            .map(|e| e.u().max(e.v()) as usize + 1)
+            .max()
+            .unwrap_or(0);
+        self.dsu.grow(need);
+        for e in edges {
+            self.dsu.union(e.u(), e.v());
+        }
+    }
+
+    /// Fold a sequence of batches in order — the WAL replay entry point.
+    pub fn absorb_batches(&mut self, batches: &[Vec<Edge>]) {
+        for batch in batches {
+            self.absorb_batch(batch);
+        }
+    }
+
+    /// Canonical labels (`labels[labels[v]] == labels[v]`) for the current
+    /// forest.
+    pub fn labels(&mut self) -> Vec<Vertex> {
+        (0..self.dsu.len() as u32)
+            .map(|v| self.dsu.find(v))
+            .collect()
+    }
 }
 
 /// A spanning forest of `g`: the edges whose union first connected their
@@ -173,6 +226,43 @@ mod tests {
         assert_eq!(d.len(), 5);
         d.union(1, 4);
         assert_eq!(d.find(4), d.find(0));
+    }
+
+    #[test]
+    fn incremental_union_find_matches_batch_oracle_per_epoch() {
+        let g = gen::gnp(150, 0.025, 11);
+        let edges = g.edges();
+        let mut inc = IncrementalUnionFind::new(10);
+        let step = edges.len().div_ceil(4).max(1);
+        let mut absorbed = 0;
+        for (i, batch) in edges.chunks(step).enumerate() {
+            inc.absorb_batch(batch);
+            absorbed += batch.len();
+            let labels = inc.labels();
+            let prefix = Graph::new(labels.len(), edges[..absorbed].to_vec());
+            assert!(
+                same_partition(&labels, &components(&prefix)),
+                "epoch {i}: incremental forest diverges from the batch oracle"
+            );
+            for &l in &labels {
+                assert_eq!(labels[l as usize], l, "labels must be canonical");
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_union_find_grows_vertex_space() {
+        let mut inc = IncrementalUnionFind::new(2);
+        inc.absorb_batch(&[Edge::new(0, 7)]);
+        let labels = inc.labels();
+        assert_eq!(labels.len(), 8);
+        assert_eq!(labels[0], labels[7]);
+        assert_ne!(labels[1], labels[0]);
+        inc.ensure_n(12);
+        inc.absorb_batch(&[]); // empty batches change nothing
+        assert_eq!(inc.labels().len(), 12);
+        inc.ensure_n(3); // shrink requests are ignored
+        assert_eq!(inc.labels().len(), 12);
     }
 
     #[test]

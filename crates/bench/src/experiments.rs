@@ -804,7 +804,6 @@ pub fn e17_serve_mixed(quick: bool) -> Table {
     let mut t = Table::new(
         "E17 — serve mode: mixed insert/query, epoch-pinned snapshot reads under writer load",
         &[
-            "algo",
             "writer",
             "batches",
             "edges/batch",
@@ -821,64 +820,60 @@ pub fn e17_serve_mixed(quick: bool) -> Table {
     let base = gen::gnp(n, 1.5 / n as f64, 21);
     let pool = gen::gnp(n, 2.0 / n as f64, 22);
     let pe = pool.edges();
-    for algo in ["union-find", "ltz"] {
-        for (mode, batches, per_batch) in [
-            ("idle", 0usize, 0usize),
-            ("steady", 8, 256),
-            ("flood", 32, 256),
-        ] {
-            let mut state = parcc_solver::begin_incremental(algo, 0).expect("registered");
-            state.ensure_n(base.n());
-            state.absorb_batch(base.edges());
-            let engine = parcc_solver::ServeEngine::start(state);
-            let mut lat_us: Vec<f64> = Vec::with_capacity(queries);
-            let pairs = Stream::new(0xE17, 77);
-            let t0 = Instant::now();
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    for b in 0..batches {
-                        let batch: Vec<_> = (0..per_batch)
-                            .map(|i| pe[(b * per_batch + i) % pe.len()])
-                            .collect();
-                        engine.submit_batch(batch);
-                        if mode == "steady" {
-                            std::thread::sleep(std::time::Duration::from_micros(300));
-                        }
+    for (mode, batches, per_batch) in [
+        ("idle", 0usize, 0usize),
+        ("steady", 8, 256),
+        ("flood", 32, 256),
+    ] {
+        let mut state = parcc_solver::IncrementalUnionFind::new(base.n());
+        state.absorb_batch(base.edges());
+        let engine = parcc_solver::ServeEngine::start(state);
+        let mut lat_us: Vec<f64> = Vec::with_capacity(queries);
+        let pairs = Stream::new(0xE17, 77);
+        let t0 = Instant::now();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for b in 0..batches {
+                    let batch: Vec<_> = (0..per_batch)
+                        .map(|i| pe[(b * per_batch + i) % pe.len()])
+                        .collect();
+                    engine.submit_batch(batch);
+                    if mode == "steady" {
+                        std::thread::sleep(std::time::Duration::from_micros(300));
                     }
-                });
-                for q in 0..queries {
-                    let u = pairs.below(2 * q as u64, n as u64) as u32;
-                    let v = pairs.below(2 * q as u64 + 1, n as u64) as u32;
-                    let tq = Instant::now();
-                    let snap = engine.snapshot();
-                    std::hint::black_box(snap.same_component(u, v));
-                    lat_us.push(tq.elapsed().as_secs_f64() * 1e6);
                 }
             });
-            let reader_wall = t0.elapsed().as_secs_f64();
-            let snap = engine.flush();
-            let mut all = base.edges().to_vec();
-            all.extend((0..batches * per_batch).map(|i| pe[i % pe.len()]));
-            let oracle_g = Graph::new(n, all);
-            let verified = parcc_graph::traverse::same_partition(
-                snap.labels(),
-                &parcc_solver::oracle_labels(&oracle_g),
-            );
-            lat_us.sort_by(f64::total_cmp);
-            let pct = |p: f64| lat_us[((lat_us.len() - 1) as f64 * p) as usize];
-            t.row(vec![
-                algo.into(),
-                mode.into(),
-                batches.to_string(),
-                per_batch.to_string(),
-                queries.to_string(),
-                f(queries as f64 / reader_wall.max(1e-9) / 1e3),
-                f(pct(0.50)),
-                f(pct(0.99)),
-                snap.epoch().to_string(),
-                if verified { "ok" } else { "MISMATCH" }.into(),
-            ]);
-        }
+            for q in 0..queries {
+                let u = pairs.below(2 * q as u64, n as u64) as u32;
+                let v = pairs.below(2 * q as u64 + 1, n as u64) as u32;
+                let tq = Instant::now();
+                let snap = engine.snapshot();
+                std::hint::black_box(snap.same_component(u, v));
+                lat_us.push(tq.elapsed().as_secs_f64() * 1e6);
+            }
+        });
+        let reader_wall = t0.elapsed().as_secs_f64();
+        let snap = engine.flush();
+        let mut all = base.edges().to_vec();
+        all.extend((0..batches * per_batch).map(|i| pe[i % pe.len()]));
+        let oracle_g = Graph::new(n, all);
+        let verified = parcc_graph::traverse::same_partition(
+            snap.labels(),
+            &parcc_solver::oracle_labels(&oracle_g),
+        );
+        lat_us.sort_by(f64::total_cmp);
+        let pct = |p: f64| lat_us[((lat_us.len() - 1) as f64 * p) as usize];
+        t.row(vec![
+            mode.into(),
+            batches.to_string(),
+            per_batch.to_string(),
+            queries.to_string(),
+            f(queries as f64 / reader_wall.max(1e-9) / 1e3),
+            f(pct(0.50)),
+            f(pct(0.99)),
+            snap.epoch().to_string(),
+            if verified { "ok" } else { "MISMATCH" }.into(),
+        ]);
     }
     t
 }
@@ -1155,9 +1150,7 @@ pub fn e21_durability(quick: bool) -> Table {
     ] {
         let _ = std::fs::remove_file(&wal_path);
         let label = policy.map_or("none", SyncPolicy::name);
-        let mut state = parcc_solver::begin_incremental("union-find", 0).expect("registered");
-        state.ensure_n(n);
-        let engine = parcc_solver::ServeEngine::start(state);
+        let engine = parcc_solver::ServeEngine::start(parcc_solver::IncrementalUnionFind::new(n));
         let mut wal = policy.map(|p| Wal::open(&wal_path, p).expect("fresh wal").0);
         let t0 = Instant::now();
         for b in 0..batches {
@@ -1182,8 +1175,7 @@ pub fn e21_durability(quick: bool) -> Table {
             drop(wal);
             let tr = Instant::now();
             let (_, replay) = Wal::open(&wal_path, SyncPolicy::Off).expect("reopen");
-            let mut fresh = parcc_solver::begin_incremental("union-find", 0).expect("registered");
-            fresh.ensure_n(n);
+            let mut fresh = parcc_solver::IncrementalUnionFind::new(n);
             fresh.absorb_batches(&replay.batches);
             let labels = fresh.labels();
             let ms = tr.elapsed().as_secs_f64() * 1e3;
@@ -1288,19 +1280,18 @@ mod tests {
     #[test]
     fn e17_serve_rows_verify_and_coalesce() {
         let t = super::e17_serve_mixed(true);
-        assert_eq!(t.rows.len(), 6, "2 algos × 3 writer modes");
+        assert_eq!(t.rows.len(), 3, "3 writer modes");
         for row in &t.rows {
-            assert_eq!(row[9], "ok", "{}/{} failed verification", row[0], row[1]);
-            let batches: u64 = row[2].parse().unwrap();
-            let epochs: u64 = row[8].parse().unwrap();
+            assert_eq!(row[8], "ok", "{} failed verification", row[0]);
+            let batches: u64 = row[1].parse().unwrap();
+            let epochs: u64 = row[7].parse().unwrap();
             assert!(
                 epochs <= batches,
-                "{}/{}: epochs {epochs} must not exceed batches {batches} (coalescing)",
-                row[0],
-                row[1]
+                "{}: epochs {epochs} must not exceed batches {batches} (coalescing)",
+                row[0]
             );
             if batches > 0 {
-                assert!(epochs >= 1, "{}/{}: writes must publish", row[0], row[1]);
+                assert!(epochs >= 1, "{}: writes must publish", row[0]);
             }
         }
     }

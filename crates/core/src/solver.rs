@@ -5,7 +5,6 @@
 use crate::full::connectivity_sharded;
 use crate::params::Params;
 use crate::stage3::connectivity_known_gap;
-use parcc_graph::incremental::BatchedUpdate;
 use parcc_graph::solver::{ComponentSolver, SolveCtx, SolveReport, SolverCaps};
 use parcc_graph::store::{shard_slices, GraphStore};
 use parcc_graph::Graph;
@@ -80,11 +79,6 @@ impl ComponentSolver for PaperSolver {
     }
 }
 
-// Serve mode: the paper pipeline has no incremental structure, so it rides
-// the flatten-and-resolve default (batches append as shards, each epoch
-// re-solves — still shard-native through `solve_store`).
-impl BatchedUpdate for PaperSolver {}
-
 /// Theorem 3: the three-stage pipeline with a fixed gap parameter `b`
 /// (defaulting to the phase-0 guess `b₀ ≈ log n`).
 pub struct KnownGapSolver;
@@ -121,8 +115,6 @@ impl ComponentSolver for KnownGapSolver {
             .note("cleanup_edges", cleanup)
     }
 }
-
-impl BatchedUpdate for KnownGapSolver {}
 
 #[cfg(test)]
 mod tests {

@@ -26,9 +26,6 @@
 //!   connectivity algorithm in the workspace implements (the registry
 //!   itself lives in `parcc-solver`), including the shard-aware
 //!   `solve_store` entry point.
-//! * [`incremental`] — the [`incremental::BatchedUpdate`] extension trait
-//!   (batched edge absorption into long-lived solver state) and its
-//!   flatten-and-resolve default.
 //! * [`snapshot`] — epoch-pinned immutable [`snapshot::LabelSnapshot`]
 //!   views, the read side of the serve mode.
 //! * [`wal`] — the write-ahead log behind `parcc serve --wal`: CRC-framed
@@ -38,7 +35,6 @@
 
 pub mod crc;
 pub mod generators;
-pub mod incremental;
 pub mod io;
 pub mod mmap;
 pub mod repr;
@@ -48,7 +44,6 @@ pub mod store;
 pub mod traverse;
 pub mod wal;
 
-pub use incremental::{BatchedUpdate, IncrementalSolver, ResolveIncremental};
 pub use mmap::MappedGraph;
 pub use repr::{Csr, Graph};
 pub use snapshot::LabelSnapshot;

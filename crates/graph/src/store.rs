@@ -232,42 +232,6 @@ impl ShardedGraph {
         self.shards.iter().map(Vec::len).collect()
     }
 
-    /// Append one edge batch as a new trailing shard — the serve mode's
-    /// write path (a submitted batch *is* an appended shard). Endpoints
-    /// are validated against the current vertex count (grow first via
-    /// [`ensure_n`](Self::ensure_n)); the cached degree histogram is
-    /// invalidated because it no longer covers the new edges.
-    ///
-    /// # Panics
-    /// If an endpoint is out of range for the current `n`.
-    pub fn append_shard(&mut self, edges: Vec<Edge>) {
-        for e in &edges {
-            assert!(
-                (e.u() as usize) < self.n && (e.v() as usize) < self.n,
-                "edge {:?} out of range for n={}",
-                e.ends(),
-                self.n
-            );
-        }
-        self.m += edges.len();
-        self.shards.push(edges);
-        self.degrees = OnceLock::new();
-    }
-
-    /// Grow the vertex space to at least `n` (no-op when already large
-    /// enough). New vertices are isolated singletons. Invalidates the
-    /// cached degree histogram on growth (its length is `n`).
-    ///
-    /// # Panics
-    /// If `n` exceeds the `u32` vertex-id space.
-    pub fn ensure_n(&mut self, n: usize) {
-        if n > self.n {
-            assert!(n <= u32::MAX as usize, "vertex ids must fit in u32");
-            self.n = n;
-            self.degrees = OnceLock::new();
-        }
-    }
-
     /// Merge into a flat [`Graph`], consuming the shards. One exact-size
     /// allocation (the shards are already validated, so no re-scan); each
     /// shard is dropped as soon as it has been copied, so the transient
@@ -441,43 +405,6 @@ mod tests {
             ],
         );
         assert_eq!(GraphStore::degrees(&s), &[3, 2, 0]);
-    }
-
-    #[test]
-    fn append_shard_grows_store_and_refreshes_degrees() {
-        let mut sg = ShardedGraph::new(4, vec![vec![Edge::new(0, 1)]]);
-        assert_eq!(GraphStore::degrees(&sg), &[1, 1, 0, 0]); // prime the cache
-        sg.append_shard(vec![Edge::new(1, 2), Edge::new(2, 3)]);
-        assert_eq!((sg.shard_count(), sg.m()), (2, 3));
-        assert_eq!(
-            GraphStore::degrees(&sg),
-            &[1, 2, 2, 1],
-            "cache must refresh"
-        );
-        // Appended edges participate in the flat merge.
-        let flat = sg.flat_clone();
-        assert_eq!(flat.m(), 3);
-    }
-
-    #[test]
-    fn ensure_n_grows_and_never_shrinks() {
-        let mut sg = ShardedGraph::new(2, vec![vec![Edge::new(0, 1)]]);
-        assert_eq!(GraphStore::degrees(&sg).len(), 2);
-        sg.ensure_n(5);
-        assert_eq!(sg.n(), 5);
-        assert_eq!(GraphStore::degrees(&sg), &[1, 1, 0, 0, 0]);
-        sg.ensure_n(3);
-        assert_eq!(sg.n(), 5, "shrink requests are no-ops");
-        // The grown id range is now appendable.
-        sg.append_shard(vec![Edge::new(3, 4)]);
-        assert_eq!(sg.m(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn append_shard_rejects_out_of_range_edges() {
-        let mut sg = ShardedGraph::new(2, vec![]);
-        sg.append_shard(vec![Edge::new(0, 2)]);
     }
 
     #[test]

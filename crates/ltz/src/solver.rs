@@ -3,7 +3,6 @@
 //! classical baselines.
 
 use crate::connect::{ltz_connectivity, LtzParams};
-use parcc_graph::incremental::BatchedUpdate;
 use parcc_graph::solver::{ComponentSolver, SolveCtx, SolveReport, SolverCaps};
 use parcc_graph::store::{concat_edges, GraphStore};
 use parcc_graph::Graph;
@@ -87,9 +86,6 @@ impl ComponentSolver for LtzSolver {
             .note("store_shards", store.shard_count())
     }
 }
-
-// Serve mode: LTZ restarts per epoch via the flatten-and-resolve default.
-impl BatchedUpdate for LtzSolver {}
 
 #[cfg(test)]
 mod tests {

@@ -1,11 +1,12 @@
 //! The `hybrid` adaptive solver: contraction-rate phase switching
 //! (ROADMAP "adaptive execution engine", the Sutton-et-al. play).
 //!
-//! `auto` sniffs the input once and commits; `hybrid` adapts *during* the
-//! run. It drives cheap HashMin sweeps ([`HashMinSweep`]) over the full
-//! edge set while components are collapsing quickly — each sweep is one
-//! `(m + n)`-work round, the cheapest round any solver here can buy — and
-//! watches two live signals per round:
+//! The registry's one adaptive solver: instead of sniffing the input up
+//! front, `hybrid` adapts *during* the run. It drives cheap HashMin sweeps
+//! ([`HashMinSweep`]) over the full edge set while components are
+//! collapsing quickly — each sweep is one `(m + n)`-work round, the
+//! cheapest round any solver here can buy — and watches two live signals
+//! per round:
 //!
 //! * the **frontier** (vertices whose label changed): zero means the
 //!   fixpoint, labels are per-component minima, done — no delegation;
@@ -44,7 +45,6 @@ use crate::policy::{self, Delegate, Policy};
 use parcc_baselines::HashMinSweep;
 use parcc_core::full::connectivity_sharded;
 use parcc_core::Params;
-use parcc_graph::incremental::BatchedUpdate;
 use parcc_graph::solver::{ComponentSolver, PhaseStat, SolveCtx, SolveReport, SolverCaps};
 use parcc_graph::store::{concat_edges, GraphStore};
 use parcc_graph::Graph;
@@ -323,10 +323,6 @@ impl ComponentSolver for HybridSolver {
             .note("store_shards", store.shard_count())
     }
 }
-
-// Serve mode: re-runs the adaptive pipeline per epoch via the
-// flatten-and-resolve default.
-impl BatchedUpdate for HybridSolver {}
 
 #[cfg(test)]
 mod tests {

@@ -19,12 +19,11 @@
 //! | `label-prop` | HashMin propagation | `O(m·d)` | `O(d)` |
 //! | `random-mate` | Reif `[Rei84]` | `O((m+n) log n)` | `O(log n)` w.h.p. |
 //! | `liu-tarjan-{ps,pss,es,ess}` | `[LT19]` variants | `O(m log n)` | `O(log² n)` |
-//! | `auto` | input-sniffing dispatch ([`auto::AutoSolver`]) | delegate's | delegate's |
 //! | `hybrid` | adaptive sweep→contract→delegate ([`hybrid::HybridSolver`]) | `O(m·sweeps) + delegate's` | `O(log n) + delegate's` |
 //!
-//! The adaptive entries (`auto`, `hybrid`) read their thresholds from the
-//! refittable [`policy`] module (`--policy FILE` / `PARCC_POLICY`,
-//! emitted by `parcc tune`).
+//! The adaptive entry (`hybrid`) reads its thresholds from the refittable
+//! [`policy`] module (`--policy FILE` / `PARCC_POLICY`, emitted by
+//! `parcc tune`).
 //!
 //! Besides the registry this crate carries the cross-solver drivers:
 //! [`compare`] / [`compare_store`] (run every solver on one graph — flat
@@ -34,13 +33,11 @@
 //! check for a single labeling, used by the conformance suite).
 //!
 //! The [`serve`] module hosts the long-lived serving layer behind
-//! `parcc serve`: background batch absorption through
-//! [`begin_incremental`] (natively incremental for `union-find`,
-//! flatten-and-resolve for everyone else) publishing epoch-pinned
-//! [`LabelSnapshot`] views. The [`ooc`] module is the out-of-core driver:
-//! it streams a memory-mapped binary store ([`MappedGraph`])
-//! shard-at-a-time through the natively incremental state, keeping
-//! residency near one shard.
+//! `parcc serve`: background batch absorption into
+//! [`IncrementalUnionFind`] publishing epoch-pinned [`LabelSnapshot`]
+//! views. The [`ooc`] module is the out-of-core driver: it streams a
+//! memory-mapped binary store ([`MappedGraph`]) shard-at-a-time through
+//! the same union-find state, keeping residency near one shard.
 
 use parcc_baselines::{
     LabelPropSolver, LiuTarjanSolver, RandomMateSolver, ShiloachVishkinSolver, UnionFindSolver,
@@ -53,27 +50,25 @@ use parcc_pram::cost::Cost;
 use parcc_pram::edge::Vertex;
 use std::time::Duration;
 
-pub mod auto;
 pub mod hybrid;
 pub mod ooc;
 pub mod policy;
 pub mod serve;
 
-pub use auto::AutoSolver;
 pub use hybrid::HybridSolver;
-pub use ooc::{is_natively_incremental, solve_out_of_core, OocReport};
-pub use parcc_graph::incremental::{BatchedUpdate, IncrementalSolver, ResolveIncremental};
+pub use ooc::{solve_out_of_core, OocReport};
+pub use parcc_baselines::IncrementalUnionFind;
 pub use parcc_graph::mmap::MappedGraph;
 pub use parcc_graph::snapshot::LabelSnapshot;
 pub use parcc_graph::solver::{ComponentSolver, PhaseStat, SolveCtx, SolveReport, SolverCaps};
 pub use parcc_graph::store::{GraphStore, ShardedGraph};
 pub use policy::Policy;
-pub use serve::ServeEngine;
+pub use serve::{ServeEngine, ServeState};
 
 /// Every registered solver, in presentation order (the paper's pipelines
 /// first, then the substrate, then the classical baselines, then the
-/// dispatchers).
-static REGISTRY: [&dyn ComponentSolver; 13] = [
+/// adaptive solver).
+static REGISTRY: [&dyn ComponentSolver; 12] = [
     &PaperSolver,
     &KnownGapSolver,
     &LtzSolver,
@@ -85,7 +80,6 @@ static REGISTRY: [&dyn ComponentSolver; 13] = [
     &LiuTarjanSolver::PSS,
     &LiuTarjanSolver::ES,
     &LiuTarjanSolver::ESS,
-    &AutoSolver,
     &HybridSolver,
 ];
 
@@ -116,21 +110,14 @@ pub fn default_solver() -> &'static dyn ComponentSolver {
     REGISTRY[0]
 }
 
-/// Begin batched-incremental state for the named solver over `n` initial
-/// singleton vertices (`None` for an unknown name). `union-find` gets its
-/// native forest — near-constant amortized work per absorbed edge; every
-/// other registered solver rides the flatten-and-resolve default
-/// ([`ResolveIncremental`]), which re-solves the accumulated shard store
-/// per epoch. This is the entry `parcc serve --algo` goes through.
+/// Begin incremental state over `n` initial singleton vertices for the
+/// named solver (case-insensitive): `Some` for `union-find`, the one
+/// solver whose forest absorbs batches without re-solving, and `None` for
+/// every other name.
 #[must_use]
-pub fn begin_incremental(name: &str, n: usize) -> Option<Box<dyn IncrementalSolver>> {
-    static UNION_FIND: UnionFindSolver = UnionFindSolver;
-    let solver = find(name)?;
-    Some(if solver.name() == "union-find" {
-        UNION_FIND.begin_incremental(n)
-    } else {
-        Box::new(ResolveIncremental::new(solver, n))
-    })
+pub fn begin_incremental(name: &str, n: usize) -> Option<IncrementalUnionFind> {
+    name.eq_ignore_ascii_case("union-find")
+        .then(|| IncrementalUnionFind::new(n))
 }
 
 /// Ground-truth labels via the sequential union-find oracle.
@@ -260,21 +247,16 @@ mod tests {
     }
 
     #[test]
-    fn begin_incremental_covers_the_whole_registry() {
+    fn begin_incremental_is_union_find_only() {
         use parcc_pram::edge::Edge;
-        for name in names() {
-            let mut inc = begin_incremental(name, 3).unwrap_or_else(|| panic!("{name}"));
-            inc.absorb_batch(&[Edge::new(0, 2)]);
-            let labels = inc.labels();
-            assert_eq!(labels[0], labels[2], "{name}: batch not absorbed");
-            assert_ne!(labels[0], labels[1], "{name}: spurious merge");
+        let mut inc = begin_incremental("UNION-FIND", 3).expect("union-find");
+        inc.absorb_batch(&[Edge::new(0, 2)]);
+        let labels = inc.labels();
+        assert_eq!(labels[0], labels[2], "batch not absorbed");
+        assert_ne!(labels[0], labels[1], "spurious merge");
+        for name in names().into_iter().filter(|&n| n != "union-find") {
+            assert!(begin_incremental(name, 3).is_none(), "{name}");
         }
-        // Union-find is natively incremental, the rest resolve.
-        assert_eq!(
-            begin_incremental("union-find", 1).unwrap().algo(),
-            "union-find"
-        );
-        assert_eq!(begin_incremental("PAPER", 1).unwrap().algo(), "paper");
         assert!(begin_incremental("no-such", 1).is_none());
     }
 

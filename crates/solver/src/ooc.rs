@@ -10,12 +10,10 @@
 //!    shard slices, so "the active window" is a well-defined page range
 //!    the kernel can be advised about (`MADV_SEQUENTIAL` up front,
 //!    `MADV_DONTNEED` + `posix_fadvise(DONTNEED)` behind the cursor).
-//! 2. **Natively incremental union-find** — near-constant amortized work
-//!    per absorbed edge and `O(n)` state, independent of `m`. This is the
-//!    only registered solver whose incremental form does *not* buffer the
-//!    absorbed edges (the flatten-and-resolve adapter keeps all of them),
-//!    so it is the only one the driver accepts: anything else would
-//!    silently rebuild the whole graph in RAM and defeat the point.
+//! 2. **Incremental union-find** ([`IncrementalUnionFind`]) —
+//!    near-constant amortized work per absorbed edge and `O(n)` state,
+//!    independent of `m`: it never buffers the absorbed edges, so the
+//!    stream never rebuilds the whole graph in RAM.
 //! 3. **Per-shard validation** — endpoints are range-checked shard by
 //!    shard as the cursor advances ([`MappedGraph::validate_shard`]), so
 //!    streaming never trusts unscanned bytes yet never needs a separate
@@ -25,7 +23,7 @@
 //! reported so callers (and the conformance tests) can verify the working
 //! set stays bounded instead of taking it on faith.
 
-use crate::begin_incremental;
+use parcc_baselines::IncrementalUnionFind;
 use parcc_graph::mmap::MappedGraph;
 use parcc_pram::edge::Vertex;
 use std::time::{Duration, Instant};
@@ -51,33 +49,18 @@ pub struct OocReport {
     pub wall: Duration,
 }
 
-/// Can `algo`'s incremental form absorb batches without buffering them?
-/// Only such solvers are eligible for out-of-core streaming.
-#[must_use]
-pub fn is_natively_incremental(algo: &str) -> bool {
-    algo.eq_ignore_ascii_case("union-find")
-}
-
 /// Solve a mapped binary graph shard-at-a-time in shard-sized working
-/// memory. `algo` must be natively incremental (see
-/// [`is_natively_incremental`]); endpoints are validated per shard as the
-/// stream advances, so an unvalidated [`MappedGraph::open`] is the
-/// intended input — no page is touched twice.
+/// memory through incremental union-find. Endpoints are validated per
+/// shard as the stream advances, so an unvalidated [`MappedGraph::open`]
+/// is the intended input — no page is touched twice.
 ///
 /// # Errors
-/// If `algo` cannot stream without buffering, or a shard holds an
-/// out-of-range endpoint (named precisely, as in
-/// [`MappedGraph::validate`]).
-pub fn solve_out_of_core(g: &MappedGraph, algo: &str) -> Result<OocReport, String> {
-    if !is_natively_incremental(algo) {
-        return Err(format!(
-            "out-of-core solving requires a natively incremental solver (union-find); \
-             '{algo}' would buffer the whole edge list in memory"
-        ));
-    }
+/// If a shard fails its checksum or holds an out-of-range endpoint (named
+/// precisely, as in [`MappedGraph::validate`]).
+pub fn solve_out_of_core(g: &MappedGraph) -> Result<OocReport, String> {
     let start = Instant::now();
     g.advise_sequential();
-    let mut state = begin_incremental("union-find", g.n()).expect("union-find is registered");
+    let mut state = IncrementalUnionFind::new(g.n());
     let mut resident_peak = g.resident_bytes();
     for i in 0..g.shard_count() {
         g.validate_shard(i)?;
@@ -130,7 +113,7 @@ mod tests {
         let tmp = TempPath::new("oracle");
         save_binary(&sg, &tmp.0).unwrap();
         let mg = MappedGraph::open(&tmp.0).unwrap();
-        let report = solve_out_of_core(&mg, "union-find").unwrap();
+        let report = solve_out_of_core(&mg).unwrap();
         assert_eq!(report.labels.len(), g.n());
         assert!(same_partition(&report.labels, &oracle_labels(&g)));
         assert_eq!((report.shards, report.edges), (6, g.m()));
@@ -138,19 +121,6 @@ mod tests {
         if let Some(peak) = report.resident_peak {
             assert!(peak <= report.file_bytes + 4096, "peak {peak}");
         }
-    }
-
-    #[test]
-    fn rejects_buffering_solvers() {
-        let tmp = TempPath::new("reject");
-        save_binary(&ShardedGraph::new(2, vec![vec![]]), &tmp.0).unwrap();
-        let mg = MappedGraph::open(&tmp.0).unwrap();
-        for algo in ["paper", "ltz", "label-prop", "no-such"] {
-            let err = solve_out_of_core(&mg, algo).unwrap_err();
-            assert!(err.contains("natively incremental"), "{algo}: {err}");
-        }
-        assert!(is_natively_incremental("UNION-FIND"));
-        assert!(!is_natively_incremental("paper"));
     }
 
     #[test]
@@ -164,7 +134,7 @@ mod tests {
         std::fs::write(&tmp.0, &bytes).unwrap();
         let mg = MappedGraph::open(&tmp.0).unwrap();
         // The per-shard CRC trips before the endpoint scan under v2.
-        let err = solve_out_of_core(&mg, "union-find").unwrap_err();
+        let err = solve_out_of_core(&mg).unwrap_err();
         assert!(err.contains("checksum mismatch"), "{err}");
     }
 }

@@ -1,9 +1,10 @@
 //! The refittable dispatch policy: every adaptive-execution constant in one
 //! loadable, refittable place (ROADMAP "autotuning v2").
 //!
-//! `auto` (static sniff gates) and `hybrid` (contraction-rate phase switch)
-//! used to carry hard-coded thresholds. This module turns them into a
-//! [`Policy`] value with three sources, in precedence order:
+//! Seven keys: `hybrid`'s contraction-rate phase switch (`switch_shrink`,
+//! `min_sweeps`, `max_sweeps`, `delegate`) and the radix sort's tuning
+//! (`sort_digit_bits`, `sort_min_chunk`, `sort_wc`). A [`Policy`] value
+//! has three sources, in precedence order:
 //!
 //! 1. `parcc --policy FILE` — the CLI loads the file and installs it
 //!    process-wide via [`set_active`];
@@ -44,7 +45,7 @@ impl Delegate {
     }
 }
 
-/// Every tunable the adaptive solvers consult. `Copy` so the active policy
+/// Every tunable `hybrid` and the radix sort consult. `Copy` so the active policy
 /// can be read once per solve without locking games.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Policy {
@@ -58,14 +59,6 @@ pub struct Policy {
     pub max_sweeps: u64,
     /// `hybrid`: kernel delegate for the contracted remainder.
     pub delegate: Delegate,
-    /// `auto`: average degree (over non-isolated vertices) below which the
-    /// diameter probe is skipped and `paper` chosen outright.
-    pub dense_avg_deg: f64,
-    /// `auto`: diameter-probe acceptance cap is
-    /// `probe_cap_factor · ⌈log₂ n⌉ + probe_cap_slack`.
-    pub probe_cap_factor: f64,
-    /// Additive slack of the probe cap.
-    pub probe_cap_slack: u64,
     /// Radix sort: digit-width cap in bits (`8..=16`); installed into
     /// `parcc_pram::sort` when the policy activates.
     pub sort_digit_bits: u32,
@@ -84,9 +77,6 @@ impl Default for Policy {
             min_sweeps: 2,
             max_sweeps: 64,
             delegate: Delegate::Paper,
-            dense_avg_deg: 4.0,
-            probe_cap_factor: 2.0,
-            probe_cap_slack: 4,
             sort_digit_bits: defaults_sort().max_digit_bits,
             sort_min_chunk: defaults_sort().min_chunk as u64,
             sort_wc: defaults_sort().write_combine,
@@ -99,13 +89,6 @@ fn defaults_sort() -> parcc_pram::sort::SortTuning {
 }
 
 impl Policy {
-    /// `auto`'s diameter-probe acceptance cap for an `n`-vertex input.
-    #[must_use]
-    pub fn probe_cap(&self, n: usize) -> u64 {
-        let log = parcc_pram::cost::ceil_log2(n.max(2) as u64);
-        (self.probe_cap_factor * log as f64) as u64 + self.probe_cap_slack
-    }
-
     /// Parse the `key = value` file format. Starts from defaults; every
     /// line overrides one field. Unknown keys and malformed values are
     /// errors.
@@ -134,11 +117,6 @@ impl Policy {
                         _ => return Err(bad("delegate (paper|ltz)")),
                     }
                 }
-                "dense_avg_deg" => p.dense_avg_deg = value.parse().map_err(|_| bad("degree"))?,
-                "probe_cap_factor" => {
-                    p.probe_cap_factor = value.parse().map_err(|_| bad("factor"))?;
-                }
-                "probe_cap_slack" => p.probe_cap_slack = value.parse().map_err(|_| bad("count"))?,
                 "sort_digit_bits" => {
                     p.sort_digit_bits = value.parse().map_err(|_| bad("bits"))?;
                 }
@@ -163,13 +141,6 @@ impl Policy {
                 "sweep bounds invalid: min {} max {}",
                 self.min_sweeps, self.max_sweeps
             ));
-        }
-        let gates_ok = self.dense_avg_deg.is_finite()
-            && self.dense_avg_deg > 0.0
-            && self.probe_cap_factor.is_finite()
-            && self.probe_cap_factor >= 0.0;
-        if !gates_ok {
-            return Err("density/probe gates must be positive and finite".into());
         }
         if !(8..=16).contains(&self.sort_digit_bits) {
             return Err(format!(
@@ -200,21 +171,15 @@ impl Policy {
         format!(
             "# parcc dispatch policy (load with --policy FILE or PARCC_POLICY)\n\
              delegate = {}\n\
-             dense_avg_deg = {}\n\
              max_sweeps = {}\n\
              min_sweeps = {}\n\
-             probe_cap_factor = {}\n\
-             probe_cap_slack = {}\n\
              sort_digit_bits = {}\n\
              sort_min_chunk = {}\n\
              sort_wc = {}\n\
              switch_shrink = {}\n",
             self.delegate.name(),
-            self.dense_avg_deg,
             self.max_sweeps,
             self.min_sweeps,
-            self.probe_cap_factor,
-            self.probe_cap_slack,
             self.sort_digit_bits,
             self.sort_min_chunk,
             self.sort_wc,
@@ -243,7 +208,7 @@ pub fn set_active(p: Policy) {
     *ACTIVE.write().unwrap() = Some(p);
 }
 
-/// The policy adaptive solvers consult: explicit [`set_active`] value,
+/// The policy `hybrid` consults: explicit [`set_active`] value,
 /// else `PARCC_POLICY` (loaded once; a broken file is a loud error — a
 /// silently ignored tuning file would be worse), else defaults.
 #[must_use]
@@ -267,10 +232,6 @@ pub fn active() -> Policy {
 pub struct TuneObservation {
     /// Registry solver name.
     pub solver: String,
-    /// Vertex count of the run's input.
-    pub n: u64,
-    /// Edge count of the run's input.
-    pub m: u64,
     /// Wall time in milliseconds.
     pub wall_ms: f64,
     /// Rounds of `hybrid`'s sweep phase (absent for other solvers).
@@ -281,9 +242,6 @@ pub struct TuneObservation {
 /// `compare --json` run, i.e. per input graph). The update rule is
 /// deliberately boring and deterministic:
 ///
-/// * **`dense_avg_deg`** — midpoint between the densest input `paper` won
-///   and the sparsest input `label-prop` won (the refitted decision
-///   boundary of `auto`'s density gate), when both sides were observed.
 /// * **`switch_shrink`** — nudged 0.05 down for every run where `hybrid`
 ///   lost to `label-prop` (it switched too early: cheap sweeps were still
 ///   winning) and 0.05 up for every run where it lost to `paper` (it swept
@@ -293,37 +251,21 @@ pub struct TuneObservation {
 #[must_use]
 pub fn refit(groups: &[Vec<TuneObservation>]) -> Policy {
     let mut p = Policy::default();
-    let wall_of = |g: &[TuneObservation], name: &str| {
-        g.iter()
-            .find(|o| o.solver == name)
-            .map(|o| (o.wall_ms, o.n, o.m, o.sweep_rounds))
-    };
-    let mut paper_won_deg: f64 = 0.0;
-    let mut lp_won_deg = f64::INFINITY;
     let mut shrink = p.switch_shrink;
     let mut longest_winning_sweep = 0u64;
     for g in groups {
-        let (Some(lp), Some(paper)) = (wall_of(g, "label-prop"), wall_of(g, "paper")) else {
+        let find = |name: &str| g.iter().find(|o| o.solver == name);
+        let (Some(lp), Some(paper), Some(hy)) = (find("label-prop"), find("paper"), find("hybrid"))
+        else {
             continue;
         };
-        let avg_deg = 2.0 * lp.2 as f64 / lp.1.max(1) as f64;
-        if lp.0 < paper.0 {
-            lp_won_deg = lp_won_deg.min(avg_deg);
-        } else {
-            paper_won_deg = paper_won_deg.max(avg_deg);
+        if hy.wall_ms > lp.wall_ms {
+            shrink -= 0.05; // switched too early; let sweeps run longer
+        } else if hy.wall_ms > paper.wall_ms {
+            shrink += 0.05; // swept too long; hand over sooner
+        } else if let Some(r) = hy.sweep_rounds {
+            longest_winning_sweep = longest_winning_sweep.max(r);
         }
-        if let Some(hy) = wall_of(g, "hybrid") {
-            if hy.0 > lp.0 {
-                shrink -= 0.05; // switched too early; let sweeps run longer
-            } else if hy.0 > paper.0 {
-                shrink += 0.05; // swept too long; hand over sooner
-            } else if let Some(r) = hy.3 {
-                longest_winning_sweep = longest_winning_sweep.max(r);
-            }
-        }
-    }
-    if paper_won_deg > 0.0 && lp_won_deg.is_finite() && paper_won_deg < lp_won_deg {
-        p.dense_avg_deg = (paper_won_deg + lp_won_deg) / 2.0;
     }
     p.switch_shrink = shrink.clamp(0.05, 0.60);
     if longest_winning_sweep > 0 {
@@ -365,6 +307,9 @@ mod tests {
         assert!(Policy::parse("sort_digit_bits = 20\n").is_err());
         assert!(Policy::parse("sort_min_chunk = 10\n").is_err());
         assert!(Policy::parse("sort_wc = maybe\n").is_err());
+        // A stale tuned file carrying a retired key fails loudly rather
+        // than being silently half-applied.
+        assert!(Policy::parse("dense_avg_deg = 4\n").is_err());
     }
 
     #[test]
@@ -379,58 +324,21 @@ mod tests {
     }
 
     #[test]
-    fn probe_cap_matches_the_v1_constant_shape() {
-        // Defaults must reproduce auto v1's `2·⌈log₂ n⌉ + 4`.
-        let p = Policy::default();
-        assert_eq!(p.probe_cap(512), 2 * parcc_pram::cost::ceil_log2(512) + 4);
-    }
-
-    #[test]
-    fn refit_moves_the_density_boundary_between_observed_winners() {
-        let run = |deg: f64, lp_ms: f64, paper_ms: f64| {
-            vec![
-                TuneObservation {
-                    solver: "label-prop".into(),
-                    n: 1000,
-                    m: (deg * 500.0) as u64,
-                    wall_ms: lp_ms,
-                    sweep_rounds: None,
-                },
-                TuneObservation {
-                    solver: "paper".into(),
-                    n: 1000,
-                    m: (deg * 500.0) as u64,
-                    wall_ms: paper_ms,
-                    sweep_rounds: None,
-                },
-            ]
-        };
-        let p = refit(&[run(2.0, 5.0, 1.0), run(10.0, 1.0, 5.0)]);
-        assert_eq!(p.dense_avg_deg, 6.0, "midpoint of 2 and 10");
-    }
-
-    #[test]
     fn refit_nudges_switch_shrink_by_hybrid_losses() {
         let group = |lp_ms: f64, paper_ms: f64, hy_ms: f64| {
             vec![
                 TuneObservation {
                     solver: "label-prop".into(),
-                    n: 100,
-                    m: 400,
                     wall_ms: lp_ms,
                     sweep_rounds: None,
                 },
                 TuneObservation {
                     solver: "paper".into(),
-                    n: 100,
-                    m: 400,
                     wall_ms: paper_ms,
                     sweep_rounds: None,
                 },
                 TuneObservation {
                     solver: "hybrid".into(),
-                    n: 100,
-                    m: 400,
                     wall_ms: hy_ms,
                     sweep_rounds: Some(6),
                 },

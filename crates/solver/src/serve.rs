@@ -1,15 +1,15 @@
-//! The serve engine: connectivity-as-a-service over any registered
-//! solver.
+//! The serve engine: connectivity-as-a-service over incremental
+//! union-find.
 //!
 //! ## Writer/reader split
 //!
 //! Writers call [`ServeEngine::submit_batch`]; batches travel over a
 //! channel to one background **merge thread** owning the long-lived
-//! [`IncrementalSolver`] state (natively incremental union-find, or the
-//! flatten-and-resolve default for the rest of the registry — see
-//! [`parcc_graph::incremental`]). After folding a batch group in, the
-//! merge thread freezes the canonical labels into a [`LabelSnapshot`]
-//! stamped with the next epoch and publishes it with an `Arc` swap.
+//! [`IncrementalUnionFind`] state, which absorbs a batch in near-constant
+//! amortized work per edge instead of re-solving the accumulated graph.
+//! After folding a batch group in, the merge thread freezes the canonical
+//! labels into a [`LabelSnapshot`] stamped with the next epoch and
+//! publishes it with an `Arc` swap.
 //!
 //! Readers call [`ServeEngine::snapshot`]: a brief read-lock to clone the
 //! current `Arc`, after which every query runs against that pinned epoch
@@ -21,17 +21,16 @@
 //!
 //! ## Batching and epochs
 //!
-//! Each submitted batch is the natural shard unit (`ShardedGraph`
-//! append). The merge thread coalesces batches that queued up while it
-//! was busy — up to [`COALESCE`] per epoch — so a flood of small batches
-//! costs one snapshot rebuild, not one per batch. Epochs are monotone;
+//! The merge thread coalesces batches that queued up while it was busy —
+//! up to [`COALESCE`] per epoch — so a flood of small batches costs one
+//! snapshot rebuild, not one per batch. Epochs are monotone;
 //! [`ServeEngine::flush`] blocks until everything submitted so far is
 //! reflected in the published snapshot (the read barrier a
 //! read-your-writes client needs).
 //!
 //! ## Supervision
 //!
-//! Each merge group is absorbed under a panic guard. A panicking solver
+//! Each merge group is absorbed under a panic guard. A panicking engine
 //! (or an armed `serve-merge` failpoint) used to kill the merge thread
 //! silently, wedging every future [`ServeEngine::flush`] forever; now the
 //! group is **counted as processed but failed** — the previous snapshot
@@ -41,14 +40,34 @@
 //! in-memory state (a WAL replay on restart heals them); flush waiters
 //! always wake.
 
-use parcc_graph::incremental::IncrementalSolver;
+use parcc_baselines::IncrementalUnionFind;
 use parcc_graph::snapshot::LabelSnapshot;
-use parcc_pram::edge::Edge;
+use parcc_pram::edge::{Edge, Vertex};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread;
 
 /// Max batches folded into a single epoch publish.
 pub const COALESCE: usize = 64;
+
+/// What the merge thread needs from its state. [`IncrementalUnionFind`]
+/// is the one engine; the seam lets tests substitute a deliberately slow
+/// stand-in.
+pub trait ServeState {
+    /// Fold one edge batch in, growing the vertex space as needed.
+    fn absorb_batch(&mut self, edges: &[Edge]);
+
+    /// Canonical labels for the current state.
+    fn labels(&mut self) -> Vec<Vertex>;
+}
+
+impl ServeState for IncrementalUnionFind {
+    fn absorb_batch(&mut self, edges: &[Edge]) {
+        IncrementalUnionFind::absorb_batch(self, edges);
+    }
+    fn labels(&mut self) -> Vec<Vertex> {
+        IncrementalUnionFind::labels(self)
+    }
+}
 
 /// Merge progress counters, guarded by one mutex with a condvar for the
 /// flush barrier. `merged` counts batches *processed* (absorbed or
@@ -70,7 +89,6 @@ struct Shared {
     snapshot: RwLock<Arc<LabelSnapshot>>,
     progress: Mutex<Progress>,
     merged_cv: Condvar,
-    algo: &'static str,
 }
 
 /// A running serve engine: one background merge thread plus the published
@@ -87,8 +105,7 @@ impl ServeEngine {
     /// labels become the epoch-0 snapshot (so an initial graph absorbed
     /// before start is queryable immediately).
     #[must_use]
-    pub fn start(mut state: Box<dyn IncrementalSolver>) -> Self {
-        let algo = state.algo();
+    pub fn start(mut state: impl ServeState + Send + 'static) -> Self {
         let initial = Arc::new(LabelSnapshot::from_labels(0, state.labels()));
         let shared = Arc::new(Shared {
             snapshot: RwLock::new(initial),
@@ -100,24 +117,17 @@ impl ServeEngine {
                 last_error: None,
             }),
             merged_cv: Condvar::new(),
-            algo,
         });
         let (tx, rx) = mpsc::channel::<Vec<Edge>>();
         let merger = {
             let shared = Arc::clone(&shared);
-            thread::spawn(move || merge_loop(&mut *state, &rx, &shared))
+            thread::spawn(move || merge_loop(&mut state, &rx, &shared))
         };
         Self {
             tx: Some(tx),
             shared,
             merger: Some(merger),
         }
-    }
-
-    /// Registry name of the algorithm maintaining the state.
-    #[must_use]
-    pub fn algo(&self) -> &'static str {
-        self.shared.algo
     }
 
     /// Submit one edge batch for background absorption; returns the batch
@@ -246,7 +256,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// one snapshot. A panicking group is recorded as failed (previous
 /// snapshot stays live) and the loop continues — the supervisor contract
 /// from the module docs.
-fn merge_loop(state: &mut dyn IncrementalSolver, rx: &mpsc::Receiver<Vec<Edge>>, shared: &Shared) {
+fn merge_loop(state: &mut dyn ServeState, rx: &mpsc::Receiver<Vec<Edge>>, shared: &Shared) {
     let mut epoch = { shared.snapshot.read().expect("snapshot poisoned").epoch() };
     while let Ok(first) = rx.recv() {
         let mut group = vec![first];
@@ -295,7 +305,6 @@ fn merge_loop(state: &mut dyn IncrementalSolver, rx: &mpsc::Receiver<Vec<Edge>>,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::begin_incremental;
     use parcc_graph::generators as gen;
     use parcc_graph::traverse::{components, same_partition};
     use parcc_graph::Graph;
@@ -303,7 +312,7 @@ mod tests {
     #[test]
     fn epoch_zero_covers_the_initial_state() {
         let g = gen::cycle(6);
-        let mut state = begin_incremental("union-find", 0).unwrap();
+        let mut state = IncrementalUnionFind::new(0);
         state.absorb_batch(g.edges());
         let engine = ServeEngine::start(state);
         let snap = engine.snapshot();
@@ -311,14 +320,13 @@ mod tests {
         assert_eq!(snap.n(), 6);
         assert!(snap.same_component(0, 3));
         assert_eq!(snap.component_count(), 1);
-        assert_eq!(engine.algo(), "union-find");
     }
 
     #[test]
     fn flush_is_a_read_barrier_and_answers_match_oracle() {
         let g = gen::gnp(200, 0.02, 3);
         let edges = g.edges();
-        let engine = ServeEngine::start(begin_incremental("union-find", 0).unwrap());
+        let engine = ServeEngine::start(IncrementalUnionFind::new(0));
         let step = edges.len().div_ceil(5).max(1);
         let mut absorbed = 0;
         for batch in edges.chunks(step) {
@@ -338,7 +346,7 @@ mod tests {
 
     #[test]
     fn pinned_snapshots_are_immutable_under_writes() {
-        let engine = ServeEngine::start(begin_incremental("union-find", 4).unwrap());
+        let engine = ServeEngine::start(IncrementalUnionFind::new(4));
         let pinned = engine.snapshot();
         assert!(!pinned.same_component(0, 1));
         engine.submit_batch(vec![Edge::new(0, 1)]);
@@ -351,7 +359,7 @@ mod tests {
 
     #[test]
     fn coalescing_keeps_epochs_at_most_batches() {
-        let engine = ServeEngine::start(begin_incremental("union-find", 64).unwrap());
+        let engine = ServeEngine::start(IncrementalUnionFind::new(64));
         for i in 0..40u32 {
             engine.submit_batch(vec![Edge::new(i, i + 1)]);
         }
@@ -368,7 +376,7 @@ mod tests {
     #[test]
     fn merge_panic_does_not_wedge_flush_and_merging_resumes() {
         let _guard = parcc_pram::failpoint::scoped("serve-merge:1:panic");
-        let engine = ServeEngine::start(begin_incremental("union-find", 8).unwrap());
+        let engine = ServeEngine::start(IncrementalUnionFind::new(8));
         engine.submit_batch(vec![Edge::new(0, 1)]);
         // The injected panic kills this group; flush must still return
         // (with the previous epoch-0 snapshot) instead of hanging forever.
@@ -389,7 +397,7 @@ mod tests {
     #[test]
     fn failure_counters_start_clean() {
         let _guard = parcc_pram::failpoint::scoped("");
-        let engine = ServeEngine::start(begin_incremental("union-find", 4).unwrap());
+        let engine = ServeEngine::start(IncrementalUnionFind::new(4));
         engine.submit_batch(vec![Edge::new(0, 1)]);
         let _ = engine.flush();
         assert_eq!(engine.merge_failures(), 0);

@@ -122,10 +122,10 @@ fn storage_summary(loaded: &LoadedStore) -> String {
 fn usage_text() -> String {
     let mut s = String::from(
         "usage:\n\
-         \x20 parcc [--threads N] [--algo NAME] [--policy FILE] [--ooc] labels  <file|->\n\
-         \x20 parcc [--threads N] [--algo NAME] [--policy FILE] [--ooc] stats   <file|->\n\
+         \x20 parcc [--threads N] [--algo NAME | --ooc] [--policy FILE] labels  <file|->\n\
+         \x20 parcc [--threads N] [--algo NAME | --ooc] [--policy FILE] stats   <file|->\n\
          \x20 parcc [--threads N] [--policy FILE] compare [--json] [--baseline FILE [--fail]] <file|->\n\
-         \x20 parcc [--threads N] [--algo NAME] [--policy FILE] serve [--wal PATH [--wal-sync P]] [file]\n\
+         \x20 parcc [--threads N] [--policy FILE] serve [--wal PATH [--wal-sync P]] [file]\n\
          \x20 parcc convert [--verify] <in: file|-> <out.pgb>\n\
          \x20 parcc gen [--shards K] <cycle|path|expander|gnp|powerlaw|mesh2d> <n> [seed] [avg-deg]\n\
          \x20 parcc tune [--out FILE] [--sort-probe] [run.json ...]\n\
@@ -153,7 +153,7 @@ fn usage_text() -> String {
          \x20 tune      refit the adaptive dispatch policy from stored\n\
          \x20           `compare --json` outputs (one file per run) and emit a\n\
          \x20           policy file (--out FILE, else stdout) that --policy /\n\
-         \x20           PARCC_POLICY loads into auto and hybrid; --sort-probe\n\
+         \x20           PARCC_POLICY loads into hybrid; --sort-probe\n\
          \x20           additionally times radix digit-width / write-combining\n\
          \x20           candidates on this machine and folds the winner into\n\
          \x20           the emitted sort_* keys\n\
@@ -167,8 +167,8 @@ fn usage_text() -> String {
          \x20           binary for instant restart, `stats`/`epoch`/`help`\n\
          \x20           introspect, `quit` exits. [file] preloads a graph as epoch\n\
          \x20           0 — a PGB file preloads straight off the map (no '-':\n\
-         \x20           stdin is the protocol channel). Default --algo: union-find\n\
-         \x20           (natively incremental); others re-solve per epoch.\n\
+         \x20           stdin is the protocol channel). Batches are absorbed by\n\
+         \x20           incremental union-find (no re-solve per epoch).\n\
          \x20           --wal PATH appends every committed batch to a\n\
          \x20           checksummed write-ahead log before acking, replays it\n\
          \x20           on startup (truncating a torn tail at the last valid\n\
@@ -178,13 +178,13 @@ fn usage_text() -> String {
          \x20           batch = one fsync per commit)\n\
          \n\
          \x20 --threads N   worker pool size (else PARCC_THREADS, else all cores)\n\
-         \x20 --algo NAME   solver for labels/stats/serve (default: paper;\n\
-         \x20               serve defaults to union-find)\n\
-         \x20 --policy FILE adaptive dispatch thresholds for auto/hybrid\n\
+         \x20 --algo NAME   solver for labels/stats (default: paper; serve and\n\
+         \x20               --ooc always use union-find)\n\
+         \x20 --policy FILE adaptive dispatch thresholds for hybrid\n\
          \x20               (see `parcc tune`; else the PARCC_POLICY env var,\n\
          \x20               else built-in defaults)\n\
          \x20 --ooc         out-of-core: stream a PGB binary shard-at-a-time\n\
-         \x20               through natively incremental union-find, releasing\n\
+         \x20               through incremental union-find, releasing\n\
          \x20               each shard's pages behind the cursor (labels/stats,\n\
          \x20               binary input only; residency stays near one shard)\n\
          \n\
@@ -338,9 +338,10 @@ fn main() {
         // installed into the radix layer for the whole run.
         let _ = solver::policy::active();
     }
-    if algo_name.is_some() && !matches!(subcommand.as_deref(), Some("labels" | "stats" | "serve")) {
+    if algo_name.is_some() && (ooc || !matches!(subcommand.as_deref(), Some("labels" | "stats"))) {
         eprintln!(
-            "error: --algo is only valid with labels/stats/serve (compare runs every solver)"
+            "error: --algo is only valid with labels/stats (compare runs every solver; \
+             serve and --ooc always use union-find)"
         );
         std::process::exit(2);
     }
@@ -351,16 +352,6 @@ fn main() {
     if ooc && !matches!(subcommand.as_deref(), Some("labels" | "stats")) {
         eprintln!("error: --ooc is only valid with labels/stats");
         std::process::exit(2);
-    }
-    if ooc {
-        let name = algo_name.as_deref().unwrap_or("union-find");
-        if !solver::is_natively_incremental(name) {
-            eprintln!(
-                "error: --ooc requires a natively incremental solver (union-find); \
-                 '{name}' would buffer the whole edge list in memory"
-            );
-            std::process::exit(2);
-        }
     }
     let algo = match pick_solver(algo_name.as_deref()) {
         Ok(s) => s,
@@ -376,11 +367,7 @@ fn main() {
         Some("convert") => cmd_convert(&mut args),
         Some("gen") => cmd_gen(&args[1..], shards.as_deref()),
         Some("tune") => cmd_tune(&mut args),
-        // Serve defaults to the natively incremental solver, not the
-        // registry default (`pick_solver` above already validated an
-        // explicit --algo name).
         Some("serve") => cmd_serve(
-            algo_name.as_deref().unwrap_or("union-find"),
             args.get(1).map(String::as_str),
             wal_path.as_deref(),
             wal_sync.as_deref(),
@@ -410,7 +397,7 @@ fn load_ooc(path: &str) -> Result<solver::MappedGraph, String> {
 fn cmd_labels(algo: &dyn ComponentSolver, path: Option<&str>, ooc: bool) -> Result<(), String> {
     let path = path.unwrap_or_else(|| usage());
     let labels = if ooc {
-        solver::solve_out_of_core(&load_ooc(path)?, "union-find")?.labels
+        solver::solve_out_of_core(&load_ooc(path)?)?.labels
     } else {
         let (loaded, _) = load(path)?;
         algo.solve_store(loaded.store(), &SolveCtx::new()).labels
@@ -481,7 +468,7 @@ fn cmd_stats(algo: &dyn ComponentSolver, path: Option<&str>, ooc: bool) -> Resul
 /// plus the residency evidence that the working set stayed bounded.
 fn cmd_stats_ooc(path: &str) -> Result<(), String> {
     let mg = load_ooc(path)?;
-    let report = solver::solve_out_of_core(&mg, "union-find")?;
+    let report = solver::solve_out_of_core(&mg)?;
     let index = ComponentIndex::from_labels(report.labels);
     let mut sizes: Vec<usize> = index.sizes().to_vec();
     sizes.sort_unstable_by(|a, b| b.cmp(a));
@@ -786,20 +773,9 @@ fn cmd_tune(args: &mut Vec<String>) -> Result<(), String> {
     let mut groups: Vec<Vec<solver::policy::TuneObservation>> = Vec::new();
     for path in files {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let mut n = 0u64;
-        let mut m = 0u64;
         let mut group: Vec<solver::policy::TuneObservation> = Vec::new();
         for line in text.lines() {
-            // Header lines carry the input size; solver lines carry a name.
-            if json_str_field(line, "name").is_none() {
-                if let Some(v) = json_num_field(line, "vertices") {
-                    n = v as u64;
-                }
-                if let Some(e) = json_num_field(line, "edges") {
-                    m = e as u64;
-                }
-                continue;
-            }
+            // Solver lines carry a name and a wall; header lines are skipped.
             let (Some(name), Some(wall_ms)) = (
                 json_str_field(line, "name"),
                 json_num_field(line, "wall_ms"),
@@ -810,8 +786,6 @@ fn cmd_tune(args: &mut Vec<String>) -> Result<(), String> {
             let sweep_rounds = json_str_field(line, "sweeps").and_then(|s| s.parse().ok());
             group.push(solver::policy::TuneObservation {
                 solver: name.to_string(),
-                n,
-                m,
                 wall_ms,
                 sweep_rounds,
             });
@@ -981,13 +955,11 @@ impl ServeSession {
 /// one was requested (`--wal`), start the engine, and hand stdin/stdout
 /// to the protocol loop.
 fn cmd_serve(
-    algo: &str,
     path: Option<&str>,
     wal_path: Option<&str>,
     wal_sync: Option<&str>,
 ) -> Result<(), String> {
-    let mut state =
-        solver::begin_incremental(algo, 0).ok_or_else(|| format!("unknown algorithm '{algo}'"))?;
+    let mut state = solver::IncrementalUnionFind::new(0);
     if let Some(path) = path {
         if path == "-" {
             return Err("serve reads its protocol from stdin; preload from a file, not '-'".into());
@@ -1190,8 +1162,7 @@ fn serve_command(
         "stats" => {
             let snap = engine.snapshot();
             let mut reply = format!(
-                "stats algo={} n={} components={} epoch={} submitted={} merged={} pending={} failures={}",
-                engine.algo(),
+                "stats algo=union-find n={} components={} epoch={} submitted={} merged={} pending={} failures={}",
                 snap.n(),
                 snap.component_count(),
                 snap.epoch(),

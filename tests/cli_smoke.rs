@@ -110,9 +110,13 @@ fn bad_invocations_fail_cleanly() {
         "error should list registered solvers, got: {err}"
     );
 
-    // --algo only scopes labels/stats; silently dropping it on compare/gen
-    // would mislead, so it must be rejected.
-    for sub in [&["compare", "-"][..], &["gen", "cycle", "10"][..]] {
+    // --algo only scopes labels/stats; silently dropping it on
+    // compare/gen/serve would mislead, so it must be rejected.
+    for sub in [
+        &["compare", "-"][..],
+        &["gen", "cycle", "10"][..],
+        &["serve"][..],
+    ] {
         let out = parcc_bin()
             .args(["--algo", "ltz"])
             .args(sub)
@@ -477,7 +481,7 @@ fn convert_roundtrip_and_binary_inputs() {
         .unwrap();
     assert_eq!(reported, truth.len(), "binary stats component count");
 
-    // compare --json off the mapped store: all 13 solvers, all verified —
+    // compare --json off the mapped store: all 12 solvers, all verified —
     // the acceptance gate, at 1 and 4 threads.
     for threads in ["1", "4"] {
         let out = parcc_bin()
@@ -525,8 +529,8 @@ fn convert_roundtrip_and_binary_inputs() {
 }
 
 /// `--ooc` streams a binary shard-at-a-time: stats prints the residency
-/// telemetry and the oracle count; misuse (text input, non-incremental
-/// solver, wrong subcommand) dies with a precise error.
+/// telemetry and the oracle count; misuse (text input, an explicit
+/// `--algo`, wrong subcommand) dies with a precise error.
 #[test]
 fn ooc_streams_binaries_and_rejects_misuse() {
     let gen = parcc_bin()
@@ -588,7 +592,7 @@ fn ooc_streams_binaries_and_rejects_misuse() {
         "--ooc labels partition size"
     );
 
-    // Misuse: text input, buffering solver, wrong subcommand.
+    // Misuse: text input, an explicit solver, wrong subcommand.
     let out = parcc_bin()
         .arg("--ooc")
         .arg("stats")
@@ -605,7 +609,7 @@ fn ooc_streams_binaries_and_rejects_misuse() {
         .unwrap();
     assert!(!out.status.success(), "--ooc --algo paper must fail");
     let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("natively incremental"), "got: {err}");
+    assert!(err.contains("always use union-find"), "got: {err}");
     let out = parcc_bin()
         .arg("--ooc")
         .arg("compare")
@@ -690,8 +694,10 @@ fn compare_fail_hardens_baseline_warnings() {
     let dir = std::env::temp_dir();
     let graph = dir.join(format!("parcc-cli-fail-g-{}.txt", std::process::id()));
     std::fs::write(&graph, &gen.stdout).unwrap();
+    // One thread: `paper`'s simulated depth varies with the schedule at
+    // more, which trips the depth gate on noise when the machine is busy.
     let base_out = parcc_bin()
-        .args(["compare", "--json"])
+        .args(["--threads", "1", "compare", "--json"])
         .arg(&graph)
         .output()
         .unwrap();
@@ -715,7 +721,7 @@ fn compare_fail_hardens_baseline_warnings() {
         .collect();
     std::fs::write(&base, fabricated).unwrap();
     let out = parcc_bin()
-        .args(["compare", "--fail", "--baseline"])
+        .args(["--threads", "1", "compare", "--fail", "--baseline"])
         .arg(&base)
         .arg(&graph)
         .output()
@@ -740,7 +746,7 @@ fn compare_fail_hardens_baseline_warnings() {
         .collect();
     std::fs::write(&base, generous).unwrap();
     let out = parcc_bin()
-        .args(["compare", "--fail", "--baseline"])
+        .args(["--threads", "1", "compare", "--fail", "--baseline"])
         .arg(&base)
         .arg(&graph)
         .output()
@@ -796,7 +802,7 @@ fn tune_emits_a_policy_that_loads_back() {
         .unwrap();
     assert!(out.status.success(), "tune failed: {out:?}");
     let text = std::fs::read_to_string(&policy).unwrap();
-    for key in ["switch_shrink", "dense_avg_deg", "max_sweeps", "delegate"] {
+    for key in ["switch_shrink", "max_sweeps", "delegate"] {
         assert!(text.contains(key), "policy missing {key}: {text}");
     }
     // Without --out the policy goes to stdout instead.

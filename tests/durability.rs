@@ -337,8 +337,11 @@ fn merge_panic_batch_is_recovered_from_the_wal() {
             // WAL before submit: the engine never sees an unlogged batch.
             wal.append(b).unwrap();
             engine.submit_batch(b.clone());
+            // One merge group per batch, so the second group is the second
+            // batch however the merge thread is scheduled; coalesced
+            // groups would hit the failpoint fewer than twice.
+            let _ = engine.flush();
         }
-        let _ = engine.flush();
         assert!(
             engine.merge_failures() >= 1,
             "the failpoint must have fired"

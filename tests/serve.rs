@@ -5,8 +5,8 @@
 //!
 //! 1. **Oracle correctness per epoch** — after every flushed batch, the
 //!    published snapshot's partition equals sequential union-find run from
-//!    scratch on everything absorbed so far, for the native incremental
-//!    path and the flatten-and-resolve registry fallback alike.
+//!    scratch on everything absorbed so far, and the batch solvers
+//!    (`paper`, `ltz`, `label-prop`) agree with it on the same prefix.
 //! 2. **Snapshot isolation** — a pinned snapshot's answers never change
 //!    while concurrent batches merge, epochs only move forward, and reads
 //!    proceed while a merge is provably in flight.
@@ -14,9 +14,9 @@
 use parcc::baselines::union_find;
 use parcc::graph::generators as gen;
 use parcc::graph::traverse::same_partition;
-use parcc::graph::Graph;
+use parcc::graph::{Graph, ShardedGraph};
 use parcc::pram::edge::Edge;
-use parcc::solver::{begin_incremental, ServeEngine};
+use parcc::solver::{begin_incremental, ServeEngine, SolveCtx};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
 
@@ -70,22 +70,20 @@ fn engine_matches_oracle_across_epochs() {
 }
 
 #[test]
-fn flatten_and_resolve_backends_match_union_find_per_epoch() {
+fn batch_solvers_agree_with_the_engine_per_epoch() {
     let g = gen::gnp(250, 0.012, 23);
     let batches = batches_of(&g, 3);
-    for algo in ["ltz", "paper", "label-prop"] {
-        let engine = {
-            let mut state = begin_incremental(algo, 0).unwrap();
-            state.ensure_n(g.n());
-            ServeEngine::start(state)
-        };
-        for (i, batch) in batches.iter().enumerate() {
-            engine.submit_batch(batch.clone());
-            let snap = engine.flush();
-            let oracle = oracle_after(g.n(), &batches, i + 1);
+    let engine = ServeEngine::start(begin_incremental("union-find", g.n()).unwrap());
+    for (i, batch) in batches.iter().enumerate() {
+        engine.submit_batch(batch.clone());
+        let snap = engine.flush();
+        let prefix = ShardedGraph::new(g.n(), batches[..=i].to_vec());
+        for algo in ["paper", "ltz", "label-prop"] {
+            let solver = parcc::solver::find(algo).unwrap();
+            let report = solver.solve_store(&prefix, &SolveCtx::new());
             assert!(
-                same_partition(snap.labels(), &oracle),
-                "{algo}: epoch {} diverges from union-find",
+                same_partition(snap.labels(), &report.labels),
+                "{algo} disagrees with the engine at epoch {}",
                 snap.epoch()
             );
         }
@@ -143,39 +141,16 @@ fn reads_do_not_block_on_an_in_flight_merge() {
     // deadline out instead.
     struct Slow {
         n: usize,
-        batches: u64,
-        edges: u64,
     }
-    impl parcc::solver::IncrementalSolver for Slow {
-        fn algo(&self) -> &'static str {
-            "slow-test-backend"
-        }
-        fn n(&self) -> usize {
-            self.n
-        }
-        fn edges_absorbed(&self) -> u64 {
-            self.edges
-        }
-        fn batches_absorbed(&self) -> u64 {
-            self.batches
-        }
-        fn ensure_n(&mut self, n: usize) {
-            self.n = self.n.max(n);
-        }
-        fn absorb_batch(&mut self, edges: &[Edge]) {
+    impl parcc::solver::ServeState for Slow {
+        fn absorb_batch(&mut self, _edges: &[Edge]) {
             std::thread::sleep(std::time::Duration::from_millis(150));
-            self.batches += 1;
-            self.edges += edges.len() as u64;
         }
         fn labels(&mut self) -> Vec<u32> {
             (0..self.n as u32).collect()
         }
     }
-    let engine = ServeEngine::start(Box::new(Slow {
-        n: 8,
-        batches: 0,
-        edges: 0,
-    }));
+    let engine = ServeEngine::start(Slow { n: 8 });
     engine.submit_batch(vec![Edge::new(0, 1)]);
     // The merge is now sleeping inside absorb_batch. Reads must return
     // immediately from the pinned epoch-0 snapshot.
@@ -353,21 +328,17 @@ fn serve_binary_save_snapshot_restarts_with_same_connectivity() {
 
 #[test]
 fn serve_binary_selects_registry_algos_and_rejects_garbage() {
-    // A flatten-and-resolve backend answers identically.
-    let lines = serve_script(
-        &["--algo", "ltz", "serve"],
-        "add 0 1 1 2\ncommit\nflush\nsame-component 0 2\nstats\nquit\n",
-    );
-    assert_eq!(lines[2], "epoch 1");
-    assert_eq!(lines[3], "same-component true epoch=1");
-    assert!(lines[4].contains("algo=ltz"), "stats: {}", lines[4]);
-
-    // Unknown algorithm dies before the session starts.
-    let out = parcc_bin()
-        .args(["--algo", "no-such", "serve"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
+    // Serve always runs union-find: any --algo, registered or not, dies
+    // before the session starts.
+    for algo in ["ltz", "no-such"] {
+        let out = parcc_bin()
+            .args(["--algo", algo, "serve"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "--algo {algo} serve must fail");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("union-find"), "got: {err}");
+    }
 
     // '-' is the protocol channel, not a graph path.
     let out = parcc_bin().args(["serve", "-"]).output().unwrap();

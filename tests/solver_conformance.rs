@@ -57,7 +57,6 @@ fn registry_has_the_headline_solvers() {
         "label-prop",
         "random-mate",
         "liu-tarjan-ess",
-        "auto",
         "hybrid",
     ] {
         assert!(
@@ -130,30 +129,6 @@ fn deterministic_solvers_reproduce_exact_labels() {
             "{}: deterministic solvers must ignore the seed",
             s.name()
         );
-    }
-}
-
-/// The `auto` dispatcher must pick the regime the ROADMAP heuristic
-/// describes and always note its delegate.
-#[test]
-fn auto_dispatches_by_regime() {
-    let cases = [
-        (gen::random_regular(600, 8, 3), "label-prop"),
-        (gen::cycle(600), "paper"),
-        (gen::path(600), "paper"),
-    ];
-    for (g, expected) in cases {
-        let r = solver::find("auto")
-            .expect("auto registered")
-            .solve(&g, &SolveCtx::with_seed(7));
-        let delegate = r
-            .notes
-            .iter()
-            .find(|(k, _)| *k == "delegate")
-            .map(|(_, v)| v.as_str())
-            .expect("auto must note its delegate");
-        assert_eq!(delegate, expected, "n={} m={}", g.n(), g.m());
-        assert!(solver::verify_partition(&g, &r.labels).is_ok());
     }
 }
 
