@@ -14,7 +14,8 @@ use rayon::prelude::*;
 
 use crate::BaselineStats;
 
-/// Component labels by random-mate contraction. Deterministic given `seed`.
+/// Component labels by random-mate contraction. Deterministic given `seed`,
+/// at any thread count.
 #[must_use]
 pub fn random_mate(g: &Graph, seed: u64, tracker: &CostTracker) -> (Vec<Vertex>, BaselineStats) {
     let n = g.n();
@@ -27,7 +28,8 @@ pub fn random_mate(g: &Graph, seed: u64, tracker: &CostTracker) -> (Vec<Vertex>,
     while !edges.is_empty() && stats.rounds < round_cap {
         stats.rounds += 1;
         let coin = master.substream(stats.rounds);
-        // Tail roots hook onto adjacent head roots (arbitrary winner).
+        // Tail roots hook onto adjacent head roots. The smallest head wins,
+        // one ARBITRARY resolution that does not depend on the schedule.
         tracker.charge(edges.len() as u64, 1);
         edges.par_iter().for_each(|e| {
             for (x, y) in [(e.u(), e.v()), (e.v(), e.u())] {
@@ -35,7 +37,7 @@ pub fn random_mate(g: &Graph, seed: u64, tracker: &CostTracker) -> (Vec<Vertex>,
                 let x_head = coin.coin(x as u64, 0.5);
                 let y_head = coin.coin(y as u64, 0.5);
                 if !x_head && y_head {
-                    forest.set_parent(x, y);
+                    forest.hook_root_min(x, y);
                 }
             }
         });

@@ -244,11 +244,36 @@ pub fn connectivity(
     connectivity_sharded(g.n(), &[g.edges()], params, tracker)
 }
 
+/// Does an `m`-edge graph fit the pipeline's 32-bit indices? The
+/// [`AuxArray`] offsets count its `2m` directed half-edges in `u32`, and
+/// MATCHING's Step-3 election key holds an edge index in 32 bits; both
+/// hold exactly when `2m ≤ u32::MAX`.
+#[must_use]
+pub fn fits_u32_half_edges(m: usize) -> bool {
+    m.checked_mul(2).is_some_and(|h| h <= u32::MAX as usize)
+}
+
+/// Reject a graph past [`fits_u32_half_edges`] with a clear message, before
+/// any work starts.
+pub(crate) fn assert_size_limits(m: usize) {
+    assert!(
+        fits_u32_half_edges(m),
+        "connectivity: {m} edges make {} directed half-edges, more than the \
+         32-bit limit of {}",
+        m as u128 * 2,
+        u32::MAX
+    );
+}
+
 /// CONNECTIVITY over shard-chunked edge slices — the `GraphStore`-native
 /// entry point. Stage 1 assembles its working copy per shard
 /// ([`reduce_sharded`]), so a sharded store solves without ever
 /// materializing a flat [`Graph`]; with a single shard this is exactly
 /// [`connectivity`].
+///
+/// # Panics
+/// If the graph has more than `u32::MAX / 2` edges
+/// ([`fits_u32_half_edges`]), before any work starts.
 #[must_use]
 pub fn connectivity_sharded(
     n: usize,
@@ -256,6 +281,7 @@ pub fn connectivity_sharded(
     params: &Params,
     tracker: &CostTracker,
 ) -> (Vec<Vertex>, ConnectivityStats) {
+    assert_size_limits(shards.iter().map(|s| s.len()).sum());
     let forest = ParentForest::new(n);
     let s1 = Stage1Scratch::new(n);
     let s2 = Stage2Scratch::new(n);
@@ -483,6 +509,15 @@ mod tests {
     use super::*;
     use parcc_graph::generators as gen;
     use parcc_graph::traverse::{components, same_partition};
+
+    #[test]
+    fn size_limit_is_two_m_within_u32() {
+        let edge_cap = u32::MAX as usize / 2;
+        assert!(fits_u32_half_edges(0));
+        assert!(fits_u32_half_edges(edge_cap));
+        assert!(!fits_u32_half_edges(edge_cap + 1));
+        assert!(!fits_u32_half_edges(usize::MAX));
+    }
 
     fn check(g: &Graph, seed: u64) -> ConnectivityStats {
         let params = Params::for_n(g.n()).with_seed(seed);

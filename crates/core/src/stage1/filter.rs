@@ -82,7 +82,9 @@ pub fn filter(
 
 /// REVERSE(V', E) (paper §4.2): for every non-root `v ∈ V'`, an arbitrary
 /// such child wins `v.p.p = v` and becomes the new root; then one global
-/// shortcut flattens, and ALTER moves `E` onto the new roots.
+/// shortcut flattens, and ALTER moves `E` onto the new roots. The winner is
+/// the smallest such child, a priority write, so the new roots do not
+/// depend on the schedule.
 pub fn reverse(
     v_prime: &[Vertex],
     edges: &mut Vec<Edge>,
@@ -97,7 +99,7 @@ pub fn reverse(
         .collect();
     tracker.charge(v_prime.len() as u64 + 2 * nonroots.len() as u64, 3);
     nonroots.par_iter().for_each(|&v| {
-        forest.set_parent(forest.parent(v), v);
+        forest.hook_root_min(forest.parent(v), v);
     });
     nonroots.par_iter().for_each(|&v| {
         forest.shortcut_vertex(v);
@@ -226,6 +228,19 @@ mod tests {
         assert_eq!(forest.parent(0), 2);
         assert_eq!(forest.parent(1), 2);
         assert!(forest.max_height() <= 1);
+    }
+
+    #[test]
+    fn reverse_reroots_at_the_smallest_vprime_child_in_any_order() {
+        for vprime in [[1u32, 3, 8], [8, 3, 1], [3, 8, 1]] {
+            let forest = ParentForest::new(9);
+            for c in [1u32, 3, 8] {
+                forest.set_parent(c, 5);
+            }
+            reverse(&vprime, &mut Vec::new(), &forest, &CostTracker::new());
+            assert!(forest.is_root(1), "order {vprime:?}");
+            assert!([3u32, 5, 8].iter().all(|&v| forest.parent(v) == 1));
+        }
     }
 
     #[test]

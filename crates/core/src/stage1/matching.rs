@@ -6,6 +6,26 @@
 //! child of a root (Lemma 4.5). The nine steps of the paper's pseudocode are
 //! implemented literally; each concurrent election uses the write-then-check
 //! CRCW idiom from the paper's own implementation notes (Lemma 4.3).
+//!
+//! The two elections whose winner shapes the result are priority writes, so
+//! the hooks depend on the input and the seed alone, never on the schedule:
+//!
+//! - **Step 3** lets each tail keep an arbitrary outgoing arc. Here the tail
+//!   keeps the arc to its smallest-id head (ties, i.e. parallel edges, go to
+//!   the smallest edge index): the arc elects itself under the packed key
+//!   `head << 32 | index` and the smallest key wins. This is min-label
+//!   hooking (Liu–Tarjan, "Simple Concurrent Labeling Algorithms"), and one
+//!   valid ARBITRARY resolution. It concentrates D's in-arcs on low-id
+//!   roots, so Steps 5–6 absorb whole in-stars.
+//! - **Step 4** hooks each singleton head under an arbitrary original arc
+//!   into it. A singleton has no outgoing arc, so it is a root smaller than
+//!   every tail pointing at it, and a max-priority hook keeps the largest
+//!   such tail whatever order the offers arrive in.
+//!
+//! The remaining elections (Steps 5, 6 and 8) only detect whether a vertex
+//! has more than one arc, which does not depend on who wins, and their
+//! hooks each have a single writer. The nine steps run as 11 fused passes
+//! over the edges; each pass only reads what earlier passes finished.
 
 use crate::stage1::scratch::Stage1Scratch;
 use parcc_pram::cost::CostTracker;
@@ -18,7 +38,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Run MATCHING(E). `edges` is filtered in place (Step 1's deletions);
 /// hooked vertices are logged in `scratch.update_log` under `tag` and
-/// returned. Charges `O(|E|)` work at `O(1)` depth.
+/// returned. Charges `O(|E|)` work at `O(1)` depth. Edge indices must fit
+/// in 32 bits (the Step-3 election key).
 pub fn matching(
     edges: &mut Vec<Edge>,
     forest: &ParentForest,
@@ -37,6 +58,7 @@ pub fn matching(
         return Vec::new();
     }
     let m = edges.len();
+    debug_assert!(m <= u32::MAX as usize, "edge index must fit the Step-3 key");
     tracker.charge(m as u64 * 9, 9);
 
     // Collect the distinct endpoints (claim-once) and clear their cells.
@@ -48,113 +70,100 @@ pub fn matching(
     scratch.clear_for(&verts);
 
     // Step 2: orient each edge from the large end to the small end.
-    let tail = |e: Edge| e.u().max(e.v());
-    let head = |e: Edge| e.u().min(e.v());
+    let tail = |e: Edge| e.u().max(e.v()) as usize;
+    let head = |e: Edge| e.u().min(e.v()) as usize;
+    let key = |i: usize, e: Edge| (head(e) as u64) << 32 | i as u64;
     let mut in_d = Vec::with_capacity(m);
     in_d.resize_with(m, || AtomicBool::new(true));
-
-    // Step 3: each tail keeps one arbitrary outgoing arc.
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        scratch.out_winner.write(tail(e) as usize, i as u64);
-    });
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if scratch.out_winner.read(tail(e) as usize) != i as u64 {
-            in_d[i].store(false, Ordering::Relaxed);
-        }
-    });
-
-    // Step 4: mark non-singletons from D-after-Step-3, then hook each
-    // singleton under an arbitrary original arc into it.
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if in_d[i].load(Ordering::Relaxed) {
-            scratch.non_singleton.set(tail(e) as usize);
-            scratch.non_singleton.set(head(e) as usize);
-        }
-    });
-    edges.par_iter().for_each(|&e| {
-        let (t, h) = (tail(e), head(e));
-        if !scratch.non_singleton.get(h as usize) {
-            forest.set_parent(h, t);
-            scratch.update_log.write(h as usize, tag);
-        }
-    });
-
-    // Step 5: roots with >1 incoming arcs lose all their outgoing arcs.
     let live = |i: usize| in_d[i].load(Ordering::Relaxed);
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i) {
-            scratch.in_winner.write(head(e) as usize, i as u64);
-        }
-    });
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i) && scratch.in_winner.read(head(e) as usize) != i as u64 {
-            scratch.multi_in.set(head(e) as usize);
-        }
-    });
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i) && scratch.multi_in.get(tail(e) as usize) {
-            in_d[i].store(false, Ordering::Relaxed);
-        }
-    });
+    let remove = |i: usize| in_d[i].store(false, Ordering::Relaxed);
+    let hook = |v: usize, under: usize| {
+        forest.set_parent(v as Vertex, under as Vertex);
+        scratch.update_log.write(v, tag);
+    };
 
-    // Step 6: re-detect multi-in heads on the pruned D; they absorb all
-    // their in-neighbours, which leave D.
+    // Step 3: each tail keeps its arc to the smallest head.
     edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i) {
-            scratch.in_winner2.write(head(e) as usize, i as u64);
-        }
+        scratch.out_winner.write_min(tail(e), key(i, e));
     });
+    // Step 3 check; Step 4 marks the ends of D's surviving arcs.
     edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i) && scratch.in_winner2.read(head(e) as usize) != i as u64 {
-            scratch.multi_in2.set(head(e) as usize);
+        if scratch.out_winner.read(tail(e)) == key(i, e) {
+            scratch.non_singleton.set(tail(e));
+            scratch.non_singleton.set(head(e));
+        } else {
+            remove(i);
         }
     });
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i) && scratch.multi_in2.get(head(e) as usize) {
-            let t = tail(e);
-            forest.set_parent(t, head(e));
-            scratch.update_log.write(t as usize, tag);
-            scratch.deleted.set(t as usize);
-        }
-    });
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i)
-            && (scratch.deleted.get(tail(e) as usize) || scratch.deleted.get(head(e) as usize))
-        {
-            in_d[i].store(false, Ordering::Relaxed);
-        }
-    });
-
-    // Step 7: delete each remaining arc with probability 1/2.
-    edges.par_iter().enumerate().for_each(|(i, _)| {
-        if live(i) && stream.coin(i as u64, 0.5) {
-            in_d[i].store(false, Ordering::Relaxed);
-        }
-    });
-
-    // Step 8: isolated arcs hook their head under their tail. Sharing is
-    // detected by write-then-verify: any losing arc marks the shared end.
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i) {
-            scratch.end_mark.write(tail(e) as usize, i as u64);
-            scratch.end_mark.write(head(e) as usize, i as u64);
-        }
-    });
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i) {
-            if scratch.end_mark.read(tail(e) as usize) != i as u64 {
-                scratch.shared.set(tail(e) as usize);
-            }
-            if scratch.end_mark.read(head(e) as usize) != i as u64 {
-                scratch.shared.set(head(e) as usize);
-            }
-        }
-    });
+    // Step 4: hook each singleton head under its largest tail. Step 5
+    // write: roots with >1 incoming arcs lose all their outgoing arcs.
     edges.par_iter().enumerate().for_each(|(i, &e)| {
         let (t, h) = (tail(e), head(e));
-        if live(i) && !scratch.shared.get(t as usize) && !scratch.shared.get(h as usize) {
-            forest.set_parent(h, t);
-            scratch.update_log.write(h as usize, tag);
+        if !scratch.non_singleton.get(h) {
+            forest.offer_parent_max(h as Vertex, t as Vertex);
+            if scratch.update_log.read(h) != tag {
+                scratch.update_log.write(h, tag);
+            }
+        } else if live(i) {
+            scratch.in_winner.write_vacant(h, i as u64);
+        }
+    });
+    edges.par_iter().enumerate().for_each(|(i, &e)| {
+        if live(i) && scratch.in_winner.read(head(e)) != i as u64 {
+            scratch.multi_in.set(head(e));
+        }
+    });
+    // Step 5 prune; Step 6 write: re-detect multi-in heads on the pruned D.
+    edges.par_iter().enumerate().for_each(|(i, &e)| {
+        if live(i) {
+            if scratch.multi_in.get(tail(e)) {
+                remove(i);
+            } else {
+                scratch.in_winner2.write_vacant(head(e), i as u64);
+            }
+        }
+    });
+    edges.par_iter().enumerate().for_each(|(i, &e)| {
+        if live(i) && scratch.in_winner2.read(head(e)) != i as u64 {
+            scratch.multi_in2.set(head(e));
+        }
+    });
+    // Step 6 hook: multi-in heads absorb all their in-neighbours, which
+    // leave D.
+    edges.par_iter().enumerate().for_each(|(i, &e)| {
+        if live(i) && scratch.multi_in2.get(head(e)) {
+            hook(tail(e), head(e));
+            scratch.deleted.set(tail(e));
+        }
+    });
+    // Step 6 prune; Step 7 deletes each remaining arc with probability 1/2;
+    // Step 8 write: isolated arcs are found by write-then-verify, where any
+    // losing arc marks the shared end.
+    edges.par_iter().enumerate().for_each(|(i, &e)| {
+        if live(i) {
+            let (t, h) = (tail(e), head(e));
+            if scratch.deleted.get(t) || scratch.deleted.get(h) || stream.coin(i as u64, 0.5) {
+                remove(i);
+            } else {
+                scratch.end_mark.write_vacant(t, i as u64);
+                scratch.end_mark.write_vacant(h, i as u64);
+            }
+        }
+    });
+    edges.par_iter().enumerate().for_each(|(i, &e)| {
+        if live(i) {
+            for v in [tail(e), head(e)] {
+                if scratch.end_mark.read(v) != i as u64 {
+                    scratch.shared.set(v);
+                }
+            }
+        }
+    });
+    // Step 8 hook: isolated arcs hook their head under their tail.
+    edges.par_iter().enumerate().for_each(|(i, &e)| {
+        let (t, h) = (tail(e), head(e));
+        if live(i) && !scratch.shared.get(t) && !scratch.shared.get(h) {
+            hook(h, t);
         }
     });
 
@@ -252,6 +261,64 @@ mod tests {
             assert_eq!(f.find_root(v, &tr), 0, "leaf {v} should hook under 0");
         }
         assert_eq!(hooked.len(), n - 1);
+    }
+
+    #[test]
+    fn tail_keeps_its_arc_to_the_smallest_head_in_any_input_order() {
+        let arcs = [(10u32, 5u32), (10, 2), (10, 9)];
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for order in orders {
+            let forest = ParentForest::new(11);
+            let scratch = Stage1Scratch::new(11);
+            let mut edges: Vec<Edge> = order
+                .iter()
+                .map(|&k| Edge::new(arcs[k].0, arcs[k].1))
+                .collect();
+            matching(
+                &mut edges,
+                &forest,
+                &scratch,
+                Stream::new(1, 1),
+                scratch.next_tag(),
+                &CostTracker::new(),
+            );
+            let kept_head = scratch.out_winner.read(10) >> 32;
+            assert_eq!(kept_head, 2, "order {order:?}");
+            // Heads 5 and 9 are singletons after Step 3 and hook under 10.
+            assert_eq!(forest.parent(5), 10);
+            assert_eq!(forest.parent(9), 10);
+        }
+    }
+
+    #[test]
+    fn a_vertex_hooked_in_successive_calls_is_reported_by_each() {
+        // The star's leaves hook under 0 deterministically (Step 6). A later
+        // call under a newer tag, on a fresh forest but the same scratch,
+        // must report them again: the update log keeps the latest tag.
+        let n = 8;
+        let scratch = Stage1Scratch::new(n);
+        let tracker = CostTracker::new();
+        for _ in 0..2 {
+            let forest = ParentForest::new(n);
+            let mut edges: Vec<Edge> = (1..n as u32).map(|v| Edge::new(v, 0)).collect();
+            let mut hooked = matching(
+                &mut edges,
+                &forest,
+                &scratch,
+                Stream::new(2, 2),
+                scratch.next_tag(),
+                &tracker,
+            );
+            hooked.sort_unstable();
+            assert_eq!(hooked, (1..n as u32).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -133,12 +133,17 @@ pub fn sample_solve_boosted(
 /// Theorem 3: the three-stage pipeline with a *fixed* degree/gap parameter
 /// `b` (the paper's "Connectivity with known λ ≥ 1/log n" outline in §3).
 /// Returns component labels and the solve telemetry.
+///
+/// # Panics
+/// On the same size limit as
+/// [`connectivity_sharded`](crate::full::connectivity_sharded).
 pub fn connectivity_known_gap(
     g: &parcc_graph::Graph,
     b: u64,
     params: &Params,
     tracker: &CostTracker,
 ) -> (Vec<Vertex>, SolveStats) {
+    crate::full::assert_size_limits(g.m());
     let n = g.n();
     let forest = ParentForest::new(n);
     let s1 = Stage1Scratch::new(n);

@@ -397,6 +397,7 @@ impl std::fmt::Debug for Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parcc_pram::failpoint;
 
     struct TempPath(PathBuf);
 
@@ -423,6 +424,9 @@ mod tests {
 
     #[test]
     fn append_replay_roundtrip() {
+        // Appends see the process-wide failpoints; hold them unarmed so a
+        // sibling test's armed `wal-append` cannot tear this test's writes.
+        let _fp = failpoint::scoped("");
         let tmp = TempPath::new("roundtrip");
         let batches = vec![batch(0, 3), batch(10, 1), Vec::new(), batch(20, 5)];
         {
@@ -443,6 +447,7 @@ mod tests {
 
     #[test]
     fn compact_empties_the_log_and_appends_continue() {
+        let _fp = failpoint::scoped("");
         let tmp = TempPath::new("compact");
         let (mut wal, _) = Wal::open(&tmp.0, SyncPolicy::Batch).unwrap();
         wal.append(&batch(0, 4)).unwrap();
@@ -457,6 +462,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_and_the_prefix_survives() {
+        let _fp = failpoint::scoped("");
         let tmp = TempPath::new("torn");
         let (mut wal, _) = Wal::open(&tmp.0, SyncPolicy::Batch).unwrap();
         wal.append(&batch(0, 3)).unwrap();
@@ -477,6 +483,7 @@ mod tests {
 
     #[test]
     fn corrupt_payload_byte_cuts_the_replay_at_that_record() {
+        let _fp = failpoint::scoped("");
         let tmp = TempPath::new("corrupt");
         let (mut wal, _) = Wal::open(&tmp.0, SyncPolicy::Batch).unwrap();
         wal.append(&batch(0, 2)).unwrap();
@@ -508,6 +515,7 @@ mod tests {
 
     #[test]
     fn interval_and_off_policies_defer_syncs() {
+        let _fp = failpoint::scoped("");
         let tmp = TempPath::new("policies");
         let (mut wal, _) = Wal::open(&tmp.0, SyncPolicy::Off).unwrap();
         for i in 0..10 {
@@ -530,6 +538,7 @@ mod tests {
         // The real cap implies gigabyte batches; shrink it to prove the
         // splitting logic, and check the cap arithmetic separately.
         assert_eq!(MAX_RECORD_EDGES * 8, MAX_RECORD_BYTES as usize);
+        let _fp = failpoint::scoped("");
         let tmp = TempPath::new("split");
         let big = batch(0, 10);
         {
@@ -549,7 +558,6 @@ mod tests {
 
     #[test]
     fn failed_append_rewinds_so_a_shorter_retry_replays_clean() {
-        use parcc_pram::failpoint;
         let tmp = TempPath::new("rewind");
         {
             let _fp = failpoint::scoped("wal-append:1:torn-write");

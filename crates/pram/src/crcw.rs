@@ -1,15 +1,25 @@
 //! Shared-memory cells with ARBITRARY CRCW write semantics.
 //!
-//! The paper's subroutines repeatedly use two concurrent-write idioms:
+//! The paper's subroutines repeatedly use three concurrent-write idioms:
 //!
 //! 1. **write-then-check** ("each arc writes itself to the private memory of
 //!    `v`, then checks whether the arc written to `v` equals itself") — an
 //!    arbitrary writer wins and everyone can identify the winner afterwards.
 //!    Realized by [`TagCells`]: racing relaxed stores, any interleaving is a
-//!    valid ARBITRARY resolution.
+//!    valid ARBITRARY resolution. When only "was there more than one
+//!    writer?" matters, [`TagCells::write_vacant`] stores only into an empty
+//!    cell: the winner still varies, but every loser still sees a mismatch,
+//!    and a hot cell is written once instead of once per writer.
 //! 2. **priority write** (MAXLINK's arg-max over neighbour levels) — realized
 //!    by [`MaxCells`] with `fetch_max` over a packed `(key, value)` word, a
 //!    standard constant-time CRCW simulation.
+//! 3. **priority election by packed key** — write-then-check where the
+//!    smallest key wins ([`TagCells::write_min`]). Packing the election's
+//!    priority into the high bits and the writer's index into the low bits
+//!    gives every writer a distinct key, so the winner, and everything
+//!    computed from it, is a function of the input alone. The smallest
+//!    writer is one valid ARBITRARY resolution, so the paper's bounds hold
+//!    unchanged (MATCHING's Step 3 min-label election).
 //!
 //! All orderings are `Relaxed`: the batch-completion barrier at the end of
 //! every parallel pass (the pool's job handoff and completion latch are
@@ -27,7 +37,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 pub const EMPTY: u64 = u64::MAX;
 
 /// An array of cells supporting concurrent tagged writes with arbitrary
-/// winner resolution.
+/// (or, through [`write_min`](Self::write_min), smallest-key) winner
+/// resolution.
 #[derive(Debug)]
 pub struct TagCells {
     cells: Vec<AtomicU64>,
@@ -58,6 +69,29 @@ impl TagCells {
     #[inline]
     pub fn write(&self, i: usize, tag: u64) {
         self.cells[i].store(tag, Ordering::Relaxed);
+    }
+
+    /// Concurrent priority write: the smallest key written wins. A relaxed
+    /// load first, so a writer that would lose does not dirty the cell.
+    #[inline]
+    pub fn write_min(&self, i: usize, key: u64) {
+        let cell = &self.cells[i];
+        if key < cell.load(Ordering::Relaxed) {
+            cell.fetch_min(key, Ordering::Relaxed);
+        }
+    }
+
+    /// Concurrent write that only an empty cell accepts. Racing writers may
+    /// still both store, so an arbitrary one wins; but once a writer is
+    /// visible the rest leave the cell alone. For elections that only detect
+    /// whether more than one writer came: every loser still reads a tag other
+    /// than its own.
+    #[inline]
+    pub fn write_vacant(&self, i: usize, tag: u64) {
+        let cell = &self.cells[i];
+        if cell.load(Ordering::Relaxed) == EMPTY {
+            cell.store(tag, Ordering::Relaxed);
+        }
     }
 
     /// Read the current winner (or [`EMPTY`]).
@@ -256,10 +290,14 @@ impl Flags {
         self.bits.is_empty()
     }
 
-    /// Set flag `i`.
+    /// Set flag `i`. Loads first, so re-setting a hot flag does not dirty
+    /// its cache line.
     #[inline]
     pub fn set(&self, i: usize) {
-        self.bits[i].store(true, Ordering::Relaxed);
+        let bit = &self.bits[i];
+        if !bit.load(Ordering::Relaxed) {
+            bit.store(true, Ordering::Relaxed);
+        }
     }
 
     /// Clear flag `i`.
@@ -329,6 +367,33 @@ mod tests {
             .collect();
         assert_eq!(winners.len(), 1);
         assert_eq!(t.read(0), winners[0]);
+    }
+
+    #[test]
+    fn write_min_keeps_the_smallest_key_in_any_order() {
+        let t = TagCells::new(1);
+        for k in [7u64, 3, 9, 3, 5] {
+            t.write_min(0, k);
+        }
+        assert_eq!(t.read(0), 3);
+        (0..1000u64)
+            .into_par_iter()
+            .for_each(|i| t.write_min(0, 1000 - i));
+        assert_eq!(t.read(0), 1);
+    }
+
+    #[test]
+    fn write_vacant_keeps_the_first_visible_writer() {
+        let t = TagCells::new(1);
+        t.write_vacant(0, 4);
+        t.write_vacant(0, 2);
+        assert_eq!(t.read(0), 4);
+        // Under contention some writer wins.
+        let t = TagCells::new(1);
+        (0..1000u64)
+            .into_par_iter()
+            .for_each(|i| t.write_vacant(0, i));
+        assert!(t.read(0) < 1000);
     }
 
     #[test]

@@ -68,6 +68,33 @@ impl ParentForest {
         self.p[v as usize].fetch_min(u, Ordering::Relaxed);
     }
 
+    /// Priority hook: `v.p = max(v.p, u)`, a load first so a losing offer
+    /// does not dirty the cell. MATCHING hooks a singleton root under the
+    /// largest tail pointing into it; since that root is smaller than every
+    /// such tail, the largest offer wins whatever the schedule.
+    #[inline]
+    pub fn offer_parent_max(&self, v: Vertex, u: Vertex) {
+        let cell = &self.p[v as usize];
+        if u > cell.load(Ordering::Relaxed) {
+            cell.fetch_max(u, Ordering::Relaxed);
+        }
+    }
+
+    /// Priority hook of a root: `v.p` becomes the smallest `u` offered, where
+    /// `v.p = v` counts as no offer yet. A compare-exchange loop, so the
+    /// winner is the same whatever order the offers arrive in.
+    #[inline]
+    pub fn hook_root_min(&self, v: Vertex, u: Vertex) {
+        let cell = &self.p[v as usize];
+        let mut cur = cell.load(Ordering::Relaxed);
+        while cur == v || u < cur {
+            match cell.compare_exchange_weak(cur, u, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return,
+                Err(now) => cur = now,
+            }
+        }
+    }
+
     /// Is `v` a root (`v.p = v`)?
     #[inline]
     #[must_use]
@@ -82,11 +109,15 @@ impl ParentForest {
         self.parent(self.parent(v))
     }
 
-    /// One SHORTCUT step on a single vertex: `v.p = v.p.p`.
+    /// One SHORTCUT step on a single vertex: `v.p = v.p.p`. Roots and
+    /// children of roots are already done, so their cells are not rewritten.
     #[inline]
     pub fn shortcut_vertex(&self, v: Vertex) {
-        let gp = self.grandparent(v);
-        self.set_parent(v, gp);
+        let p = self.parent(v);
+        let gp = self.parent(p);
+        if gp != p {
+            self.set_parent(v, gp);
+        }
     }
 
     /// SHORTCUT(V) over all vertices (paper §5.2): one synchronous round of
@@ -287,6 +318,33 @@ mod tests {
         assert_eq!(f.max_height(), 3);
         assert_eq!(f.root_count(), 1);
         assert_eq!(f.find_root(3, &t()), 0);
+    }
+
+    #[test]
+    fn offer_parent_max_keeps_the_largest_offer() {
+        let f = ParentForest::new(10);
+        for u in [4u32, 9, 2, 7] {
+            f.offer_parent_max(1, u);
+        }
+        assert_eq!(f.parent(1), 9);
+        // An offer below the vertex itself leaves a root alone.
+        f.offer_parent_max(5, 3);
+        assert!(f.is_root(5));
+    }
+
+    #[test]
+    fn hook_root_min_keeps_the_smallest_offer_in_any_order() {
+        let f = ParentForest::new(10);
+        for u in [7u32, 9, 2, 8] {
+            f.hook_root_min(5, u);
+        }
+        assert_eq!(f.parent(5), 2);
+        let f = ParentForest::new(10);
+        (0..10u32)
+            .into_par_iter()
+            .filter(|&u| u != 4)
+            .for_each(|u| f.hook_root_min(4, 9 - u));
+        assert_eq!(f.parent(4), 0);
     }
 
     #[test]

@@ -324,6 +324,9 @@ mod tests {
 
     #[test]
     fn flush_is_a_read_barrier_and_answers_match_oracle() {
+        // Merges see the process-wide failpoints; hold them unarmed so a
+        // sibling test's armed `serve-merge` cannot kill this test's merge.
+        let _guard = parcc_pram::failpoint::scoped("");
         let g = gen::gnp(200, 0.02, 3);
         let edges = g.edges();
         let engine = ServeEngine::start(IncrementalUnionFind::new(0));
@@ -346,6 +349,7 @@ mod tests {
 
     #[test]
     fn pinned_snapshots_are_immutable_under_writes() {
+        let _guard = parcc_pram::failpoint::scoped("");
         let engine = ServeEngine::start(IncrementalUnionFind::new(4));
         let pinned = engine.snapshot();
         assert!(!pinned.same_component(0, 1));
@@ -359,6 +363,7 @@ mod tests {
 
     #[test]
     fn coalescing_keeps_epochs_at_most_batches() {
+        let _guard = parcc_pram::failpoint::scoped("");
         let engine = ServeEngine::start(IncrementalUnionFind::new(64));
         for i in 0..40u32 {
             engine.submit_batch(vec![Edge::new(i, i + 1)]);

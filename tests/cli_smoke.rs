@@ -694,10 +694,8 @@ fn compare_fail_hardens_baseline_warnings() {
     let dir = std::env::temp_dir();
     let graph = dir.join(format!("parcc-cli-fail-g-{}.txt", std::process::id()));
     std::fs::write(&graph, &gen.stdout).unwrap();
-    // One thread: `paper`'s simulated depth varies with the schedule at
-    // more, which trips the depth gate on noise when the machine is busy.
     let base_out = parcc_bin()
-        .args(["--threads", "1", "compare", "--json"])
+        .args(["compare", "--json"])
         .arg(&graph)
         .output()
         .unwrap();
@@ -721,7 +719,7 @@ fn compare_fail_hardens_baseline_warnings() {
         .collect();
     std::fs::write(&base, fabricated).unwrap();
     let out = parcc_bin()
-        .args(["--threads", "1", "compare", "--fail", "--baseline"])
+        .args(["compare", "--fail", "--baseline"])
         .arg(&base)
         .arg(&graph)
         .output()
@@ -746,7 +744,7 @@ fn compare_fail_hardens_baseline_warnings() {
         .collect();
     std::fs::write(&base, generous).unwrap();
     let out = parcc_bin()
-        .args(["--threads", "1", "compare", "--fail", "--baseline"])
+        .args(["compare", "--fail", "--baseline"])
         .arg(&base)
         .arg(&graph)
         .output()

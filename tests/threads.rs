@@ -4,10 +4,13 @@
 //! concurrent writers may hit a cell and *any* of them may win. Correctness
 //! must therefore be independent of the thread count, while 1-thread runs
 //! must stay bit-for-bit deterministic (sequential execution is one legal
-//! CRCW schedule). These tests pin both properties, plus hammer the atomic
-//! CRCW substrate directly.
+//! CRCW schedule). The paper pipeline goes further: its elections resolve
+//! by priority, so its labels and simulated cost match the 1-thread run at
+//! any thread count. These tests pin all three properties, plus hammer the
+//! atomic CRCW substrate directly.
 
 use parcc::baselines;
+use parcc::core::stage1::{reduce, Stage1Scratch};
 use parcc::core::{connectivity, Params};
 use parcc::graph::generators as gen;
 use parcc::graph::repr::Csr;
@@ -17,6 +20,7 @@ use parcc::ltz::{ltz_connectivity, LtzParams};
 use parcc::pram::cost::CostTracker;
 use parcc::pram::crcw::{Flags, MaxCells, MinCells, TagCells};
 use parcc::pram::forest::ParentForest;
+use parcc::solver::{self, SolveCtx};
 use rayon::prelude::*;
 
 /// Run `f` with the effective thread count pinned to `k` (clamped to the
@@ -60,6 +64,48 @@ fn main_algorithm_is_thread_count_invariant() {
                 same_partition(&labels, &truth),
                 "connectivity wrong on {name} at {k} threads"
             );
+        }
+    }
+}
+
+#[test]
+fn paper_stage1_is_bit_identical_at_any_thread_count() {
+    // `paper` and `known-gap` share Stage 1; its elections resolve by
+    // priority, so the forest, the current graph and the charged cost are
+    // functions of the input and the seed alone.
+    for (graph, g) in zoo(19) {
+        let run = |k| {
+            with_threads(k, || {
+                let forest = ParentForest::new(g.n());
+                let scratch = Stage1Scratch::new(g.n());
+                let tracker = CostTracker::new();
+                let params = Params::for_n(g.n()).with_seed(19);
+                let mut out = reduce(g.edges(), &params, &forest, &scratch, &tracker);
+                out.active.sort_unstable();
+                (forest.snapshot(), out.edges, out.active, tracker.snapshot())
+            })
+        };
+        let base = run(1);
+        for k in [2, 8] {
+            let (parents, edges, active, cost) = run(k);
+            assert_eq!(parents, base.0, "Stage-1 forest on {graph} at {k} threads");
+            assert_eq!(edges, base.1, "Stage-1 edges on {graph} at {k} threads");
+            assert_eq!(active, base.2, "Stage-1 vertices on {graph} at {k} threads");
+            assert_eq!(cost, base.3, "Stage-1 cost on {graph} at {k} threads");
+        }
+    }
+}
+
+#[test]
+fn paper_pipeline_labels_are_identical_at_any_thread_count() {
+    for name in ["paper", "known-gap"] {
+        let s = solver::find(name).expect("registered");
+        for (graph, g) in zoo(19) {
+            let run = |k| with_threads(k, || s.solve(&g, &SolveCtx::with_seed(19)).labels);
+            let base = run(1);
+            for k in [2, 8] {
+                assert_eq!(run(k), base, "{name} labels on {graph} at {k} threads");
+            }
         }
     }
 }
