@@ -1,8 +1,14 @@
 //! Sequential union–find with path halving and union by rank: the
 //! `O(m α(n))` sequential optimum the paper cites (`[Tar72]`), and the
 //! workspace's second ground-truth oracle (besides BFS).
+//!
+//! [`IncrementalUnionFind`], the long-lived serve state, is weighted
+//! quick-find instead: labels are always canonical and each union
+//! relabels the smaller side, O(n log n) relabels over a whole run, so a
+//! serve epoch can publish exactly the labels that moved.
 
 use parcc_graph::repr::Graph;
+use parcc_graph::snapshot::{ChangeLog, LabelSnapshot};
 use parcc_pram::edge::{Edge, Vertex};
 
 /// Disjoint-set forest.
@@ -30,29 +36,6 @@ impl DisjointSets {
             v = gp;
         }
         v
-    }
-
-    /// Number of tracked elements.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// True when no elements are tracked.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Grow to at least `n` elements; new elements are singletons. This is
-    /// what makes the forest *incremental*: absorbed batches may mention
-    /// ids beyond the current range without restarting the structure.
-    pub fn grow(&mut self, n: usize) {
-        let old = self.parent.len();
-        if n > old {
-            self.parent.extend(old as u32..n as u32);
-            self.rank.resize(n, 0);
-        }
     }
 
     /// Merge the sets of `a` and `b`; returns false if already joined.
@@ -84,40 +67,122 @@ pub fn union_find(g: &Graph) -> Vec<Vertex> {
     (0..g.n() as u32).map(|v| dsu.find(v)).collect()
 }
 
-/// Long-lived union–find state: the serve and out-of-core engine. Each
-/// absorbed batch unions its edges into the growing forest (near-constant
-/// amortized work per edge, no restart); labels are read out as `find(v)`
-/// per vertex, which is canonical by construction.
+/// One vertex's quick-find record, kept together so that a union touches
+/// one cache line per vertex.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Canonical label: the id of the component's root.
+    label: Vertex,
+    /// Component size if this vertex is a root, zero otherwise.
+    size: u32,
+    /// Next member on the component's circular member list.
+    next: Vertex,
+}
+
+/// Long-lived connectivity state: the serve and out-of-core engine.
+///
+/// Weighted quick-find rather than a forest: every vertex stores its
+/// canonical label (the id of its component's root), each component
+/// threads its members on a circular list, and a union relabels the
+/// **smaller** side, walking its list. A vertex is relabeled only when its
+/// component at least doubles, so a whole run costs O(n log n) relabels
+/// however the edges arrive; a lookup is one load, and the labels are
+/// canonical at all times.
+///
+/// Once the state has published a snapshot, every relabel and every size
+/// change is recorded in a [`ChangeLog`], so [`publish`](Self::publish)
+/// builds the next [`LabelSnapshot`] from the previous one by rebuilding
+/// only the pages that changed — O(changed), not O(n), per serve epoch.
 #[derive(Debug)]
 pub struct IncrementalUnionFind {
-    dsu: DisjointSets,
+    nodes: Vec<Node>,
+    components: usize,
+    /// What changed since the last publish; `None` before the first (which
+    /// builds every page anyway, so a preload records nothing).
+    changes: Option<ChangeLog>,
 }
 
 impl IncrementalUnionFind {
     /// State over `n` initial singleton vertices.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        Self {
-            dsu: DisjointSets::new(n),
-        }
+        let mut state = Self {
+            nodes: Vec::new(),
+            components: 0,
+            changes: None,
+        };
+        state.ensure_n(n);
+        state
     }
 
     /// Grow the vertex space to at least `n` (no-op when already larger).
+    /// New vertices are singletons.
     pub fn ensure_n(&mut self, n: usize) {
-        self.dsu.grow(n);
+        let old = self.nodes.len();
+        if n > old {
+            self.nodes.extend((old as u32..n as u32).map(|v| Node {
+                label: v,
+                size: 1,
+                next: v,
+            }));
+            self.components += n - old;
+        }
     }
 
-    /// Fold one edge batch into the forest, growing the vertex space to
-    /// cover every mentioned id. Empty batches are legal no-ops.
+    /// Join the components of `a` and `b`: relabel the smaller one (ties
+    /// keep `a`'s label) and splice the two member lists.
+    fn union(&mut self, a: Vertex, b: Vertex) {
+        let (la, lb) = (self.nodes[a as usize].label, self.nodes[b as usize].label);
+        if la == lb {
+            return;
+        }
+        let (big, small) = if self.nodes[la as usize].size >= self.nodes[lb as usize].size {
+            (la, lb)
+        } else {
+            (lb, la)
+        };
+        let mut v = small;
+        loop {
+            let node = &mut self.nodes[v as usize];
+            node.label = big;
+            let next = node.next;
+            if let Some(log) = &mut self.changes {
+                log.relabel(v);
+            }
+            v = next;
+            if v == small {
+                break;
+            }
+        }
+        let Node {
+            size: small_size,
+            next: small_next,
+            ..
+        } = self.nodes[small as usize];
+        let b = &mut self.nodes[big as usize];
+        let big_next = std::mem::replace(&mut b.next, small_next);
+        b.size += small_size;
+        let s = &mut self.nodes[small as usize];
+        s.next = big_next;
+        s.size = 0;
+        if let Some(log) = &mut self.changes {
+            log.resize(big);
+            log.resize(small);
+        }
+        self.components -= 1;
+    }
+
+    /// Fold one edge batch in, growing the vertex space to cover every
+    /// mentioned id. Empty batches are legal no-ops.
     pub fn absorb_batch(&mut self, edges: &[Edge]) {
         let need = edges
             .iter()
             .map(|e| e.u().max(e.v()) as usize + 1)
             .max()
             .unwrap_or(0);
-        self.dsu.grow(need);
+        self.ensure_n(need);
         for e in edges {
-            self.dsu.union(e.u(), e.v());
+            self.union(e.u(), e.v());
         }
     }
 
@@ -128,12 +193,37 @@ impl IncrementalUnionFind {
         }
     }
 
-    /// Canonical labels (`labels[labels[v]] == labels[v]`) for the current
-    /// forest.
-    pub fn labels(&mut self) -> Vec<Vertex> {
-        (0..self.dsu.len() as u32)
-            .map(|v| self.dsu.find(v))
-            .collect()
+    /// A copy of the canonical labels (`labels[labels[v]] == labels[v]`):
+    /// O(n), for callers that want the whole labeling at once.
+    #[must_use]
+    pub fn labels(&self) -> Vec<Vertex> {
+        self.nodes.iter().map(|node| node.label).collect()
+    }
+
+    /// The snapshot after `prev` — the last snapshot this state published
+    /// (or [`LabelSnapshot::empty`] for the first) — stamped `epoch`,
+    /// sharing every page nothing changed in since. Returns it with the
+    /// number of relabels it covers (every vertex for the first publish,
+    /// which builds all pages), and starts a fresh change log.
+    pub fn publish(&mut self, prev: &LabelSnapshot, epoch: u64) -> (LabelSnapshot, u64) {
+        // Without a log (first publish, or one that panicked midway) every
+        // page is built from scratch.
+        let empty = LabelSnapshot::empty(epoch);
+        let (base, relabeled, mut log) = match self.changes.take() {
+            Some(log) => (prev, log.relabeled(), log),
+            None => (&empty, self.nodes.len() as u64, ChangeLog::default()),
+        };
+        let snap = base.advance(
+            epoch,
+            self.nodes.len(),
+            |v| self.nodes[v].label,
+            |r| self.nodes[r].size,
+            self.components,
+            &log,
+        );
+        log.clear();
+        self.changes = Some(log);
+        (snap, relabeled)
     }
 }
 
@@ -211,24 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn grow_adds_singletons_preserving_merges() {
-        let mut d = DisjointSets::new(2);
-        assert_eq!(d.len(), 2);
-        assert!(!d.is_empty());
-        d.union(0, 1);
-        d.grow(5);
-        assert_eq!(d.len(), 5);
-        assert_eq!(d.find(0), d.find(1), "old merges survive growth");
-        for v in 2..5 {
-            assert_eq!(d.find(v), v, "new elements start as singletons");
-        }
-        d.grow(3); // shrink request is a no-op
-        assert_eq!(d.len(), 5);
-        d.union(1, 4);
-        assert_eq!(d.find(4), d.find(0));
-    }
-
-    #[test]
     fn incremental_union_find_matches_batch_oracle_per_epoch() {
         let g = gen::gnp(150, 0.025, 11);
         let edges = g.edges();
@@ -263,6 +335,75 @@ mod tests {
         assert_eq!(inc.labels().len(), 12);
         inc.ensure_n(3); // shrink requests are ignored
         assert_eq!(inc.labels().len(), 12);
+    }
+
+    /// 2^20 vertices with `0..big` already one component, published.
+    fn big_component_state(n: usize, big: u32) -> (IncrementalUnionFind, LabelSnapshot) {
+        let mut inc = IncrementalUnionFind::new(n);
+        let path: Vec<Edge> = (1..big).map(|v| Edge::new(v - 1, v)).collect();
+        inc.absorb_batch(&path);
+        let (snap, _) = inc.publish(&LabelSnapshot::empty(0), 0);
+        (inc, snap)
+    }
+
+    #[test]
+    fn merging_k_singletons_into_a_big_set_relabels_exactly_k() {
+        let (mut inc, s0) = big_component_state(1 << 20, 1 << 19);
+        let root = inc.labels()[0];
+        let k = 37u32;
+        let joins: Vec<Edge> = (0..k)
+            .map(|i| Edge::new(i * 11, (1 << 19) + i * 9001))
+            .collect();
+        inc.absorb_batch(&joins);
+        let (s1, relabeled) = inc.publish(&s0, 1);
+        assert_eq!(relabeled, u64::from(k), "only the singletons move");
+        for e in &joins {
+            assert_eq!(s1.label_of(e.v()), root, "the big side keeps its label");
+        }
+        assert_eq!(s1.component_size(0), (1 << 19) + k as usize);
+        assert_eq!(s1.component_count(), (1 << 20) - (1 << 19) + 1 - k as usize);
+    }
+
+    #[test]
+    fn publish_copies_only_the_pages_a_commit_touched() {
+        use parcc_graph::snapshot::PAGE;
+        let n = 1 << 20;
+        let pages = n / PAGE;
+        let (mut inc, s0) = big_component_state(n, 1 << 19);
+        // A singleton joins the big component: its label page and the two
+        // roots' size pages, nothing else.
+        inc.absorb_batch(&[Edge::new(5, (n - 3) as u32)]);
+        let (s1, relabeled) = inc.publish(&s0, 1);
+        assert_eq!(relabeled, 1);
+        let (labels, sizes) = s1.pages_shared_with(&s0);
+        assert!(
+            labels >= pages - 2 && sizes >= pages - 2,
+            "{labels} {sizes} of {pages}"
+        );
+        // An edge inside one component changes nothing: every page shared.
+        inc.absorb_batch(&[Edge::new(3, 1000)]);
+        let (s2, relabeled) = inc.publish(&s1, 2);
+        assert_eq!(relabeled, 0);
+        assert_eq!(s2.pages_shared_with(&s1), (pages, pages));
+        assert_eq!(s2.labels(), inc.labels().as_slice());
+    }
+
+    #[test]
+    fn published_snapshots_equal_a_full_rebuild() {
+        let mut inc = IncrementalUnionFind::new(0);
+        let (mut prev, _) = inc.publish(&LabelSnapshot::empty(0), 0);
+        let g = gen::gnp(3 * parcc_graph::snapshot::PAGE, 0.0004, 5);
+        for (epoch, batch) in g.edges().chunks(97).enumerate() {
+            inc.absorb_batch(batch);
+            let (snap, _) = inc.publish(&prev, epoch as u64 + 1);
+            let full = LabelSnapshot::from_labels(snap.epoch(), inc.labels());
+            assert_eq!(snap.labels(), full.labels(), "epoch {epoch}");
+            assert_eq!(snap.component_count(), full.component_count());
+            for v in (0..snap.n() as u32).step_by(61) {
+                assert_eq!(snap.component_size(v), full.component_size(v));
+            }
+            prev = snap;
+        }
     }
 
     #[test]

@@ -308,11 +308,14 @@ impl Wal {
             }
             return Err(failpoint::as_io_error("wal-append", kind));
         }
-        let result = self.file.write_all(&record).and_then(|()| match self.policy {
-            SyncPolicy::Batch => self.sync(),
-            SyncPolicy::Interval(every) if self.last_sync.elapsed() >= every => self.sync(),
-            SyncPolicy::Interval(_) | SyncPolicy::Off => Ok(()),
-        });
+        let result = self
+            .file
+            .write_all(&record)
+            .and_then(|()| match self.policy {
+                SyncPolicy::Batch => self.sync(),
+                SyncPolicy::Interval(every) if self.last_sync.elapsed() >= every => self.sync(),
+                SyncPolicy::Interval(_) | SyncPolicy::Off => Ok(()),
+            });
         if let Err(e) = result {
             // The record is absent, torn, or not durable: drop whatever
             // made it past the committed boundary (best-effort — open()

@@ -63,7 +63,7 @@ pub use parcc_graph::snapshot::LabelSnapshot;
 pub use parcc_graph::solver::{ComponentSolver, PhaseStat, SolveCtx, SolveReport, SolverCaps};
 pub use parcc_graph::store::{GraphStore, ShardedGraph};
 pub use policy::Policy;
-pub use serve::{ServeEngine, ServeState};
+pub use serve::{PublishStats, ServeEngine, ServeState};
 
 /// Every registered solver, in presentation order (the paper's pipelines
 /// first, then the substrate, then the classical baselines, then the

@@ -11,9 +11,9 @@
 //!    the kernel can be advised about (`MADV_SEQUENTIAL` up front,
 //!    `MADV_DONTNEED` + `posix_fadvise(DONTNEED)` behind the cursor).
 //! 2. **Incremental union-find** ([`IncrementalUnionFind`]) —
-//!    near-constant amortized work per absorbed edge and `O(n)` state,
-//!    independent of `m`: it never buffers the absorbed edges, so the
-//!    stream never rebuilds the whole graph in RAM.
+//!    O(1) work per edge plus O(n log n) relabels in total, and `O(n)`
+//!    state independent of `m`: it never buffers the absorbed edges, so
+//!    the stream never rebuilds the whole graph in RAM.
 //! 3. **Per-shard validation** — endpoints are range-checked shard by
 //!    shard as the cursor advances ([`MappedGraph::validate_shard`]), so
 //!    streaming never trusts unscanned bytes yet never needs a separate

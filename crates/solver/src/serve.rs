@@ -5,15 +5,20 @@
 //!
 //! Writers call [`ServeEngine::submit_batch`]; batches travel over a
 //! channel to one background **merge thread** owning the long-lived
-//! [`IncrementalUnionFind`] state, which absorbs a batch in near-constant
-//! amortized work per edge instead of re-solving the accumulated graph.
-//! After folding a batch group in, the merge thread freezes the canonical
-//! labels into a [`LabelSnapshot`] stamped with the next epoch and
-//! publishes it with an `Arc` swap.
+//! [`IncrementalUnionFind`] state, which absorbs a batch by relabeling the
+//! smaller side of each union (O(n log n) relabels over a whole run, O(1)
+//! per edge that joins nothing). After folding a batch group in, the merge
+//! thread builds the next epoch's [`LabelSnapshot`] from the one it
+//! published last plus the state's change log: pages holding a relabeled
+//! vertex or a resized root are rebuilt, every other page is shared. So
+//! an epoch costs O(changed) — a one-edge commit rebuilds at most one
+//! label page and two size pages, whatever n is — and the snapshot is
+//! published with an `Arc` swap.
 //!
-//! Readers call [`ServeEngine::snapshot`]: a brief read-lock to clone the
-//! current `Arc`, after which every query runs against that pinned epoch
-//! with no locks at all. Reads therefore **never block on an in-flight
+//! Readers call [`ServeEngine::snapshot`]: one atomic load and an `Arc`
+//! clone when the thread already holds the published snapshot, a brief
+//! read-lock to fetch it otherwise. After that every query runs against
+//! the pinned epoch with no locks at all. Reads therefore **never block on an in-flight
 //! merge** and **never observe a half-merged epoch** — the merge thread
 //! builds each snapshot off to the side and the swap is atomic. This is
 //! the Liu–Tarjan concurrent-labeling contract specialized to a
@@ -23,7 +28,8 @@
 //!
 //! The merge thread coalesces batches that queued up while it was busy —
 //! up to [`COALESCE`] per epoch — so a flood of small batches costs one
-//! snapshot rebuild, not one per batch. Epochs are monotone;
+//! publish, not one per batch. [`ServeEngine::last_publish`] reports the
+//! last epoch's publish wall and relabel count. Epochs are monotone;
 //! [`ServeEngine::flush`] blocks until everything submitted so far is
 //! reflected in the published snapshot (the read barrier a
 //! read-your-writes client needs).
@@ -43,8 +49,11 @@
 use parcc_baselines::IncrementalUnionFind;
 use parcc_graph::snapshot::LabelSnapshot;
 use parcc_pram::edge::{Edge, Vertex};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread;
+use std::time::Instant;
 
 /// Max batches folded into a single epoch publish.
 pub const COALESCE: usize = 64;
@@ -58,6 +67,18 @@ pub trait ServeState {
 
     /// Canonical labels for the current state.
     fn labels(&mut self) -> Vec<Vertex>;
+
+    /// The snapshot for `epoch`, built from `prev` — the last snapshot
+    /// published from this state, or [`LabelSnapshot::empty`] at start —
+    /// and the number of vertices relabeled since `prev`. The default
+    /// rebuilds every page from [`labels`](Self::labels) and counts every
+    /// vertex as relabeled.
+    fn publish(&mut self, prev: &LabelSnapshot, epoch: u64) -> (LabelSnapshot, u64) {
+        let _ = prev;
+        let labels = self.labels();
+        let n = labels.len() as u64;
+        (LabelSnapshot::from_labels(epoch, labels), n)
+    }
 }
 
 impl ServeState for IncrementalUnionFind {
@@ -67,6 +88,18 @@ impl ServeState for IncrementalUnionFind {
     fn labels(&mut self) -> Vec<Vertex> {
         IncrementalUnionFind::labels(self)
     }
+    fn publish(&mut self, prev: &LabelSnapshot, epoch: u64) -> (LabelSnapshot, u64) {
+        IncrementalUnionFind::publish(self, prev, epoch)
+    }
+}
+
+/// What the most recent epoch's publish cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PublishStats {
+    /// Wall time of building the snapshot, in microseconds.
+    pub micros: u64,
+    /// Vertices relabeled since the previous epoch.
+    pub relabeled: u64,
 }
 
 /// Merge progress counters, guarded by one mutex with a condvar for the
@@ -79,6 +112,7 @@ struct Progress {
     edges: u64,
     failed: u64,
     last_error: Option<String>,
+    last_publish: PublishStats,
 }
 
 /// State shared between the engine handle and the merge thread.
@@ -87,8 +121,18 @@ struct Shared {
     /// lock; readers clone it under a brief read lock. Neither side ever
     /// holds the lock while *building* anything.
     snapshot: RwLock<Arc<LabelSnapshot>>,
+    /// Address of the published snapshot, stored under the write lock
+    /// right after each swap: a reader already holding that snapshot skips
+    /// the lock. (A held `Arc` keeps its address from being reused, so an
+    /// equal address is the same snapshot.)
+    current: AtomicUsize,
     progress: Mutex<Progress>,
     merged_cv: Condvar,
+}
+
+thread_local! {
+    /// The snapshot this thread pinned last, from any engine.
+    static PINNED: RefCell<Option<Arc<LabelSnapshot>>> = const { RefCell::new(None) };
 }
 
 /// A running serve engine: one background merge thread plus the published
@@ -106,15 +150,18 @@ impl ServeEngine {
     /// before start is queryable immediately).
     #[must_use]
     pub fn start(mut state: impl ServeState + Send + 'static) -> Self {
-        let initial = Arc::new(LabelSnapshot::from_labels(0, state.labels()));
+        let (initial, last_publish) = timed_publish(&mut state, &LabelSnapshot::empty(0), 0);
+        let initial = Arc::new(initial);
         let shared = Arc::new(Shared {
-            snapshot: RwLock::new(initial),
+            snapshot: RwLock::new(Arc::clone(&initial)),
+            current: AtomicUsize::new(Arc::as_ptr(&initial) as usize),
             progress: Mutex::new(Progress {
                 submitted: 0,
                 merged: 0,
                 edges: 0,
                 failed: 0,
                 last_error: None,
+                last_publish,
             }),
             merged_cv: Condvar::new(),
         });
@@ -147,12 +194,25 @@ impl ServeEngine {
         seq
     }
 
-    /// Pin the current published snapshot. A brief read-lock to clone the
-    /// `Arc`; all queries on the returned snapshot are lock-free and the
-    /// view is immutable — later merges publish *new* snapshots.
+    /// Pin the current published snapshot; all queries on the returned
+    /// snapshot are lock-free and the view is immutable — later merges
+    /// publish *new* snapshots. Each thread keeps the snapshot it pinned
+    /// last: while that is still the published one, a pin is one atomic
+    /// load and an `Arc` clone; otherwise a brief read-lock fetches the new
+    /// one. (So a thread holds on to its last pin until its next
+    /// `snapshot` call, on any engine.)
+    #[inline]
     #[must_use]
     pub fn snapshot(&self) -> Arc<LabelSnapshot> {
-        Arc::clone(&self.shared.snapshot.read().expect("snapshot poisoned"))
+        let current = self.shared.current.load(Ordering::Acquire);
+        PINNED.with_borrow_mut(|pinned| match pinned {
+            Some(snap) if Arc::as_ptr(snap) as usize == current => Arc::clone(snap),
+            _ => {
+                let snap = Arc::clone(&self.shared.snapshot.read().expect("snapshot poisoned"));
+                *pinned = Some(Arc::clone(&snap));
+                snap
+            }
+        })
     }
 
     /// Block until every batch submitted before this call is reflected in
@@ -224,6 +284,17 @@ impl ServeEngine {
             .clone()
     }
 
+    /// Publish cost of the most recent epoch (epoch 0's is the full build
+    /// at start).
+    #[must_use]
+    pub fn last_publish(&self) -> PublishStats {
+        self.shared
+            .progress
+            .lock()
+            .expect("progress poisoned")
+            .last_publish
+    }
+
     /// Epoch of the currently published snapshot.
     #[must_use]
     pub fn epoch(&self) -> u64 {
@@ -251,13 +322,28 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Build the snapshot after `prev` and time it.
+fn timed_publish(
+    state: &mut dyn ServeState,
+    prev: &LabelSnapshot,
+    epoch: u64,
+) -> (LabelSnapshot, PublishStats) {
+    let t0 = Instant::now();
+    let (snap, relabeled) = state.publish(prev, epoch);
+    let stats = PublishStats {
+        micros: t0.elapsed().as_micros() as u64,
+        relabeled,
+    };
+    (snap, stats)
+}
+
 /// The merge thread: block on the next batch, opportunistically coalesce
 /// whatever else queued up (bounded), absorb under a panic guard, publish
-/// one snapshot. A panicking group is recorded as failed (previous
-/// snapshot stays live) and the loop continues — the supervisor contract
-/// from the module docs.
+/// one snapshot built from the previous one. A panicking group is recorded
+/// as failed (previous snapshot stays live) and the loop continues — the
+/// supervisor contract from the module docs.
 fn merge_loop(state: &mut dyn ServeState, rx: &mpsc::Receiver<Vec<Edge>>, shared: &Shared) {
-    let mut epoch = { shared.snapshot.read().expect("snapshot poisoned").epoch() };
+    let mut current = Arc::clone(&shared.snapshot.read().expect("snapshot poisoned"));
     while let Ok(first) = rx.recv() {
         let mut group = vec![first];
         while group.len() < COALESCE {
@@ -266,9 +352,10 @@ fn merge_loop(state: &mut dyn ServeState, rx: &mpsc::Receiver<Vec<Edge>>, shared
                 Err(_) => break,
             }
         }
-        // AssertUnwindSafe: on panic the solver state may hold a partially
+        // AssertUnwindSafe: on panic the state may hold a partially
         // absorbed group, which only under-merges connectivity (absorption
-        // is idempotent and monotone — re-absorbing on replay is safe).
+        // is idempotent and monotone — re-absorbing on replay is safe), and
+        // the next publish still covers every change since `current`.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(kind) = parcc_pram::failpoint::check("serve-merge") {
                 // No bytes to tear in a pure in-memory path: every kind
@@ -280,16 +367,22 @@ fn merge_loop(state: &mut dyn ServeState, rx: &mpsc::Receiver<Vec<Edge>>, shared
             }
             // Build the snapshot *outside* the lock: readers keep serving
             // the previous epoch until the single atomic swap below.
-            Arc::new(LabelSnapshot::from_labels(epoch + 1, state.labels()))
+            timed_publish(state, &current, current.epoch() + 1)
         }));
         // Publish (or record the failure) *before* bumping `merged`, so a
         // flush waiter that wakes on the new count observes the outcome.
         match outcome {
-            Ok(fresh) => {
-                epoch += 1;
-                *shared.snapshot.write().expect("snapshot poisoned") = fresh;
+            Ok((fresh, stats)) => {
+                current = Arc::new(fresh);
+                let mut published = shared.snapshot.write().expect("snapshot poisoned");
+                *published = Arc::clone(&current);
+                shared
+                    .current
+                    .store(Arc::as_ptr(&current) as usize, Ordering::Release);
+                drop(published);
                 let mut p = shared.progress.lock().expect("progress poisoned");
                 p.merged += group.len() as u64;
+                p.last_publish = stats;
             }
             Err(payload) => {
                 let mut p = shared.progress.lock().expect("progress poisoned");
@@ -397,6 +490,23 @@ mod tests {
         assert!(snap.same_component(2, 3), "merging resumed after panic");
         assert_eq!(engine.merge_failures(), 1, "no further failures");
         assert_eq!(engine.merged_batches(), 2, "failed batch still counted");
+    }
+
+    #[test]
+    fn pins_never_cross_engines() {
+        // Both engines sit at epoch 0; the per-thread pin must still tell
+        // them apart, and must not outlive an engine's published snapshot.
+        let apart = ServeEngine::start(IncrementalUnionFind::new(2));
+        let mut joined = IncrementalUnionFind::new(2);
+        joined.absorb_batch(&[Edge::new(0, 1)]);
+        let joined = ServeEngine::start(joined);
+        for _ in 0..2 {
+            assert!(!apart.snapshot().same_component(0, 1));
+            assert!(joined.snapshot().same_component(0, 1));
+        }
+        drop(joined);
+        let fresh = ServeEngine::start(IncrementalUnionFind::new(2));
+        assert!(!fresh.snapshot().same_component(0, 1));
     }
 
     #[test]

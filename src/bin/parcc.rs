@@ -1019,8 +1019,10 @@ const SERVE_HELP: &str = "commands:\n\
     \x20 component-size v     size of v's component\n\
     \x20 component-count      number of components among tracked vertices\n\
     \x20 epoch                current published epoch\n\
-    \x20 stats                engine summary (plus wal:/recovered: lines\n\
-    \x20                      when --wal is active)\n\
+    \x20 stats                engine summary, with the last epoch's publish\n\
+    \x20                      wall (publish_us=) and relabel count\n\
+    \x20                      (relabeled=); plus wal:/recovered: lines\n\
+    \x20                      when --wal is active\n\
     \x20 quit                 exit";
 
 fn parse_vertex(s: Option<&str>, what: &str) -> Result<u32, String> {
@@ -1161,15 +1163,18 @@ fn serve_command(
         "epoch" => Ok(Some(format!("epoch {}", engine.epoch()))),
         "stats" => {
             let snap = engine.snapshot();
+            let publish = engine.last_publish();
             let mut reply = format!(
-                "stats algo=union-find n={} components={} epoch={} submitted={} merged={} pending={} failures={}",
+                "stats algo=union-find n={} components={} epoch={} submitted={} merged={} pending={} failures={} publish_us={} relabeled={}",
                 snap.n(),
                 snap.component_count(),
                 snap.epoch(),
                 engine.submitted_batches(),
                 engine.merged_batches(),
                 session.pending.len(),
-                engine.merge_failures()
+                engine.merge_failures(),
+                publish.micros,
+                publish.relabeled
             );
             if let Some(wal) = session.wal.as_ref() {
                 reply.push_str(&format!(

@@ -19,6 +19,7 @@ use parcc::pram::edge::Edge;
 use parcc::solver::{begin_incremental, ServeEngine, SolveCtx};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
+use std::sync::Arc;
 
 /// Slice a generated graph's edges into `k` near-equal batches.
 fn batches_of(g: &Graph, k: usize) -> Vec<Vec<Edge>> {
@@ -178,6 +179,103 @@ fn reads_do_not_block_on_an_in_flight_merge() {
     assert_eq!(engine.flush().epoch(), 1);
 }
 
+/// splitmix64: a tiny deterministic stream for randomized batch streams.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u32) -> u32 {
+        (self.next() % u64::from(n)) as u32
+    }
+}
+
+/// Every answer a snapshot gives about its tracked vertices, plus two
+/// untracked ids.
+fn answers(snap: &parcc::solver::LabelSnapshot) -> (Vec<u32>, Vec<usize>, usize, bool) {
+    let n = snap.n() as u32;
+    let labels = (0..n + 2).map(|v| snap.label_of(v)).collect();
+    let sizes = (0..n + 2).map(|v| snap.component_size(v)).collect();
+    (
+        labels,
+        sizes,
+        snap.component_count(),
+        snap.same_component(n, n + 1),
+    )
+}
+
+#[test]
+fn published_epochs_equal_a_full_rebuild_over_random_streams() {
+    use parcc::baselines::IncrementalUnionFind;
+    use parcc::solver::LabelSnapshot;
+    let _guard = parcc::pram::failpoint::scoped("");
+    for seed in 1..=3u64 {
+        let mut rng = Mix(seed);
+        let engine = ServeEngine::start(IncrementalUnionFind::new(100));
+        let mut mirror = IncrementalUnionFind::new(100);
+        let mut pinned = vec![(engine.snapshot(), answers(&engine.snapshot()))];
+        let mut n = 100u32;
+        let mut chains = (0, 0);
+        for round in 0..24 {
+            let mut batch = Vec::new();
+            match round % 6 {
+                // Grow the vertex space past the current n, into new pages.
+                0 => {
+                    let grown = n + 1 + rng.below(3000);
+                    batch.push(Edge::new(rng.below(n), grown - 1));
+                    n = grown;
+                }
+                // Self-loops and duplicate edges.
+                1 => {
+                    for _ in 0..20 {
+                        let (u, v) = (rng.below(n), rng.below(n));
+                        batch.extend([Edge::new(u, u), Edge::new(u, v), Edge::new(v, u)]);
+                    }
+                }
+                // Two large paths over fresh ids, then one edge merging them.
+                2 => {
+                    let len = 2000 + rng.below(3000);
+                    chains = (n, n + len);
+                    batch.extend((n + 1..n + 2 * len).map(|v| Edge::new(v - 1, v)));
+                    batch.retain(|e| e.v() != chains.1);
+                    n += 2 * len;
+                }
+                3 => batch.push(Edge::new(chains.0, chains.1)),
+                _ => {
+                    for _ in 0..rng.below(50) {
+                        batch.push(Edge::new(rng.below(n), rng.below(n)));
+                    }
+                }
+            }
+            mirror.absorb_batch(&batch);
+            engine.submit_batch(batch);
+            let snap = engine.flush();
+            if round == 3 {
+                let relabeled = engine.last_publish().relabeled;
+                assert!(relabeled >= 2000, "big merge relabeled {relabeled}");
+            }
+            let full = LabelSnapshot::from_labels(snap.epoch(), mirror.labels());
+            assert_eq!(snap.n(), full.n(), "seed {seed} round {round}");
+            assert!(same_partition(snap.labels(), full.labels()));
+            assert_eq!(snap.component_count(), full.component_count());
+            for v in 0..snap.n() as u32 {
+                assert_eq!(snap.component_size(v), full.component_size(v), "size {v}");
+            }
+            // Every earlier pin still answers exactly as when it was taken.
+            for (old, then) in &pinned {
+                assert_eq!(&answers(old), then, "epoch {} moved", old.epoch());
+            }
+            pinned.push((Arc::clone(&snap), answers(&snap)));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Binary protocol tests: drive `parcc serve` through real pipes.
 // ---------------------------------------------------------------------------
@@ -283,6 +381,39 @@ fn serve_binary_preloads_a_graph_as_epoch_zero() {
     assert_eq!(lines[2], "component-count 4 epoch=0");
     assert_eq!(lines[6], "component-count 3 epoch=1");
     assert_eq!(lines.last().unwrap(), "bye");
+}
+
+#[test]
+fn serve_binary_stats_report_the_last_publish() {
+    // Joining two components relabels the smaller side (one vertex here);
+    // an edge inside one component relabels nothing.
+    let script = "\
+        add 0 1 1 2\n\
+        commit\n\
+        flush\n\
+        add 2 3\n\
+        commit\n\
+        flush\n\
+        stats\n\
+        add 0 3\n\
+        commit\n\
+        flush\n\
+        stats\n\
+        quit\n";
+    let lines = serve_script(&["serve"], script);
+    let stats: Vec<&String> = lines.iter().filter(|l| l.starts_with("stats ")).collect();
+    assert_eq!(stats.len(), 2, "{lines:?}");
+    assert!(
+        stats[0].contains("epoch=2") && stats[0].ends_with(" relabeled=1"),
+        "{}",
+        stats[0]
+    );
+    assert!(
+        stats[1].contains("epoch=3") && stats[1].ends_with(" relabeled=0"),
+        "{}",
+        stats[1]
+    );
+    assert!(stats[1].contains(" publish_us="), "{}", stats[1]);
 }
 
 #[test]
