@@ -79,7 +79,7 @@ struct Node {
     next: Vertex,
 }
 
-/// Long-lived connectivity state: the serve and out-of-core engine.
+/// Long-lived connectivity state: the serve engine.
 ///
 /// Weighted quick-find rather than a forest: every vertex stores its
 /// canonical label (the id of its component's root), each component

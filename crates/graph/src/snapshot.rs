@@ -211,7 +211,8 @@ impl LabelSnapshot {
     /// Freeze a canonical labeling (`labels[labels[v]] == labels[v]`, the
     /// [`crate::solver::ComponentSolver`] contract) under `epoch`. One
     /// counting pass derives the component sizes and count, and every page
-    /// is built fresh: O(n).
+    /// is built fresh: O(n). The input is dropped once paged;
+    /// [`labels`](Self::labels) flattens the pages again on demand.
     ///
     /// # Panics
     /// If a label is out of range for the vertex count.
@@ -226,16 +227,14 @@ impl LabelSnapshot {
             "snapshot labels must be canonical"
         );
         let components = counts.iter().filter(|&&c| c > 0).count();
-        let mut snap = Self::empty(epoch).advance(
+        Self::empty(epoch).advance(
             epoch,
             labels.len(),
             |v| labels[v],
             |r| counts[r],
             components,
             &ChangeLog::default(),
-        );
-        snap.flat = OnceLock::from(labels);
-        snap
+        )
     }
 
     /// The empty snapshot (no tracked vertices) at the given epoch.

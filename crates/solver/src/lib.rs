@@ -37,7 +37,7 @@
 //! [`IncrementalUnionFind`] publishing epoch-pinned [`LabelSnapshot`]
 //! views. The [`ooc`] module is the out-of-core driver: it streams a
 //! memory-mapped binary store ([`MappedGraph`]) shard-at-a-time through
-//! the same union-find state, keeping residency near one shard.
+//! a union–find forest, keeping residency near one shard.
 
 use parcc_baselines::{
     LabelPropSolver, LiuTarjanSolver, RandomMateSolver, ShiloachVishkinSolver, UnionFindSolver,

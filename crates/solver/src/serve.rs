@@ -15,10 +15,9 @@
 //! label page and two size pages, whatever n is — and the snapshot is
 //! published with an `Arc` swap.
 //!
-//! Readers call [`ServeEngine::snapshot`]: one atomic load and an `Arc`
-//! clone when the thread already holds the published snapshot, a brief
-//! read-lock to fetch it otherwise. After that every query runs against
-//! the pinned epoch with no locks at all. Reads therefore **never block on an in-flight
+//! Readers call [`ServeEngine::snapshot`]: a brief read-lock to clone the
+//! current `Arc`, after which every query runs against that pinned epoch
+//! with no locks at all. Reads therefore **never block on an in-flight
 //! merge** and **never observe a half-merged epoch** — the merge thread
 //! builds each snapshot off to the side and the swap is atomic. This is
 //! the Liu–Tarjan concurrent-labeling contract specialized to a
@@ -48,9 +47,7 @@
 
 use parcc_baselines::IncrementalUnionFind;
 use parcc_graph::snapshot::LabelSnapshot;
-use parcc_pram::edge::{Edge, Vertex};
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use parcc_pram::edge::Edge;
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread;
 use std::time::Instant;
@@ -65,28 +62,15 @@ pub trait ServeState {
     /// Fold one edge batch in, growing the vertex space as needed.
     fn absorb_batch(&mut self, edges: &[Edge]);
 
-    /// Canonical labels for the current state.
-    fn labels(&mut self) -> Vec<Vertex>;
-
     /// The snapshot for `epoch`, built from `prev` — the last snapshot
     /// published from this state, or [`LabelSnapshot::empty`] at start —
-    /// and the number of vertices relabeled since `prev`. The default
-    /// rebuilds every page from [`labels`](Self::labels) and counts every
-    /// vertex as relabeled.
-    fn publish(&mut self, prev: &LabelSnapshot, epoch: u64) -> (LabelSnapshot, u64) {
-        let _ = prev;
-        let labels = self.labels();
-        let n = labels.len() as u64;
-        (LabelSnapshot::from_labels(epoch, labels), n)
-    }
+    /// and the number of vertices relabeled since `prev`.
+    fn publish(&mut self, prev: &LabelSnapshot, epoch: u64) -> (LabelSnapshot, u64);
 }
 
 impl ServeState for IncrementalUnionFind {
     fn absorb_batch(&mut self, edges: &[Edge]) {
         IncrementalUnionFind::absorb_batch(self, edges);
-    }
-    fn labels(&mut self) -> Vec<Vertex> {
-        IncrementalUnionFind::labels(self)
     }
     fn publish(&mut self, prev: &LabelSnapshot, epoch: u64) -> (LabelSnapshot, u64) {
         IncrementalUnionFind::publish(self, prev, epoch)
@@ -121,18 +105,8 @@ struct Shared {
     /// lock; readers clone it under a brief read lock. Neither side ever
     /// holds the lock while *building* anything.
     snapshot: RwLock<Arc<LabelSnapshot>>,
-    /// Address of the published snapshot, stored under the write lock
-    /// right after each swap: a reader already holding that snapshot skips
-    /// the lock. (A held `Arc` keeps its address from being reused, so an
-    /// equal address is the same snapshot.)
-    current: AtomicUsize,
     progress: Mutex<Progress>,
     merged_cv: Condvar,
-}
-
-thread_local! {
-    /// The snapshot this thread pinned last, from any engine.
-    static PINNED: RefCell<Option<Arc<LabelSnapshot>>> = const { RefCell::new(None) };
 }
 
 /// A running serve engine: one background merge thread plus the published
@@ -151,10 +125,8 @@ impl ServeEngine {
     #[must_use]
     pub fn start(mut state: impl ServeState + Send + 'static) -> Self {
         let (initial, last_publish) = timed_publish(&mut state, &LabelSnapshot::empty(0), 0);
-        let initial = Arc::new(initial);
         let shared = Arc::new(Shared {
-            snapshot: RwLock::new(Arc::clone(&initial)),
-            current: AtomicUsize::new(Arc::as_ptr(&initial) as usize),
+            snapshot: RwLock::new(Arc::new(initial)),
             progress: Mutex::new(Progress {
                 submitted: 0,
                 merged: 0,
@@ -194,25 +166,12 @@ impl ServeEngine {
         seq
     }
 
-    /// Pin the current published snapshot; all queries on the returned
-    /// snapshot are lock-free and the view is immutable — later merges
-    /// publish *new* snapshots. Each thread keeps the snapshot it pinned
-    /// last: while that is still the published one, a pin is one atomic
-    /// load and an `Arc` clone; otherwise a brief read-lock fetches the new
-    /// one. (So a thread holds on to its last pin until its next
-    /// `snapshot` call, on any engine.)
-    #[inline]
+    /// Pin the current published snapshot. A brief read-lock to clone the
+    /// `Arc`; all queries on the returned snapshot are lock-free and the
+    /// view is immutable — later merges publish *new* snapshots.
     #[must_use]
     pub fn snapshot(&self) -> Arc<LabelSnapshot> {
-        let current = self.shared.current.load(Ordering::Acquire);
-        PINNED.with_borrow_mut(|pinned| match pinned {
-            Some(snap) if Arc::as_ptr(snap) as usize == current => Arc::clone(snap),
-            _ => {
-                let snap = Arc::clone(&self.shared.snapshot.read().expect("snapshot poisoned"));
-                *pinned = Some(Arc::clone(&snap));
-                snap
-            }
-        })
+        Arc::clone(&self.shared.snapshot.read().expect("snapshot poisoned"))
     }
 
     /// Block until every batch submitted before this call is reflected in
@@ -374,12 +333,7 @@ fn merge_loop(state: &mut dyn ServeState, rx: &mpsc::Receiver<Vec<Edge>>, shared
         match outcome {
             Ok((fresh, stats)) => {
                 current = Arc::new(fresh);
-                let mut published = shared.snapshot.write().expect("snapshot poisoned");
-                *published = Arc::clone(&current);
-                shared
-                    .current
-                    .store(Arc::as_ptr(&current) as usize, Ordering::Release);
-                drop(published);
+                *shared.snapshot.write().expect("snapshot poisoned") = Arc::clone(&current);
                 let mut p = shared.progress.lock().expect("progress poisoned");
                 p.merged += group.len() as u64;
                 p.last_publish = stats;
@@ -490,23 +444,6 @@ mod tests {
         assert!(snap.same_component(2, 3), "merging resumed after panic");
         assert_eq!(engine.merge_failures(), 1, "no further failures");
         assert_eq!(engine.merged_batches(), 2, "failed batch still counted");
-    }
-
-    #[test]
-    fn pins_never_cross_engines() {
-        // Both engines sit at epoch 0; the per-thread pin must still tell
-        // them apart, and must not outlive an engine's published snapshot.
-        let apart = ServeEngine::start(IncrementalUnionFind::new(2));
-        let mut joined = IncrementalUnionFind::new(2);
-        joined.absorb_batch(&[Edge::new(0, 1)]);
-        let joined = ServeEngine::start(joined);
-        for _ in 0..2 {
-            assert!(!apart.snapshot().same_component(0, 1));
-            assert!(joined.snapshot().same_component(0, 1));
-        }
-        drop(joined);
-        let fresh = ServeEngine::start(IncrementalUnionFind::new(2));
-        assert!(!fresh.snapshot().same_component(0, 1));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use parcc::graph::generators as gen;
 use parcc::graph::traverse::same_partition;
 use parcc::graph::{Graph, ShardedGraph};
 use parcc::pram::edge::Edge;
-use parcc::solver::{begin_incremental, ServeEngine, SolveCtx};
+use parcc::solver::{begin_incremental, LabelSnapshot, ServeEngine, SolveCtx};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
 use std::sync::Arc;
@@ -147,8 +147,9 @@ fn reads_do_not_block_on_an_in_flight_merge() {
         fn absorb_batch(&mut self, _edges: &[Edge]) {
             std::thread::sleep(std::time::Duration::from_millis(150));
         }
-        fn labels(&mut self) -> Vec<u32> {
-            (0..self.n as u32).collect()
+        fn publish(&mut self, _prev: &LabelSnapshot, epoch: u64) -> (LabelSnapshot, u64) {
+            let labels = (0..self.n as u32).collect();
+            (LabelSnapshot::from_labels(epoch, labels), 0)
         }
     }
     let engine = ServeEngine::start(Slow { n: 8 });
@@ -198,7 +199,7 @@ impl Mix {
 
 /// Every answer a snapshot gives about its tracked vertices, plus two
 /// untracked ids.
-fn answers(snap: &parcc::solver::LabelSnapshot) -> (Vec<u32>, Vec<usize>, usize, bool) {
+fn answers(snap: &LabelSnapshot) -> (Vec<u32>, Vec<usize>, usize, bool) {
     let n = snap.n() as u32;
     let labels = (0..n + 2).map(|v| snap.label_of(v)).collect();
     let sizes = (0..n + 2).map(|v| snap.component_size(v)).collect();
@@ -213,7 +214,6 @@ fn answers(snap: &parcc::solver::LabelSnapshot) -> (Vec<u32>, Vec<usize>, usize,
 #[test]
 fn published_epochs_equal_a_full_rebuild_over_random_streams() {
     use parcc::baselines::IncrementalUnionFind;
-    use parcc::solver::LabelSnapshot;
     let _guard = parcc::pram::failpoint::scoped("");
     for seed in 1..=3u64 {
         let mut rng = Mix(seed);
