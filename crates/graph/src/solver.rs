@@ -90,10 +90,11 @@ impl SolveCtx {
 /// One phase of a multi-phase solve: a named slice of the run with its own
 /// round count, live-edge footprint, wall time, and heap traffic.
 ///
-/// Single-strategy solvers leave [`SolveReport::phases`] empty; adaptive
-/// solvers (`hybrid`) record one entry per strategy they executed so the
-/// switch decision is observable in `parcc stats`, `compare --json`, and
-/// the bench tables rather than folklore.
+/// Adaptive solvers (`hybrid`) record one entry per strategy they executed
+/// so the switch decision is observable in `parcc stats`, `compare --json`,
+/// and the bench tables rather than folklore. Round-structured solvers may
+/// record one entry per round (`ltz` reports each EXPAND-MAXLINK round as a
+/// `"round"` phase); the other solvers leave [`SolveReport::phases`] empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseStat {
     /// Phase name (e.g. `"sweep"`, `"contract"`, `"kernel"`).
@@ -135,8 +136,8 @@ pub struct SolveReport {
     /// Solver-specific telemetry as `(key, value)` pairs — e.g. the paper
     /// solver's `solved_at_phase`, LTZ's `fallback` flag.
     pub notes: Vec<(&'static str, String)>,
-    /// Per-phase breakdown for multi-strategy solvers; empty for
-    /// single-strategy runs. See [`PhaseStat`].
+    /// Per-phase breakdown for multi-strategy solvers and per-round one for
+    /// `ltz`; empty for the other solvers. See [`PhaseStat`].
     pub phases: Vec<PhaseStat>,
 }
 

@@ -10,10 +10,13 @@
 
 use crate::round::LtzEngine;
 use crate::state::Budget;
+use parcc_graph::solver::PhaseStat;
+use parcc_pram::alloc_track;
 use parcc_pram::cost::{ceil_log2, CostTracker};
 use parcc_pram::edge::Edge;
 use parcc_pram::forest::ParentForest;
 use parcc_pram::ops::deterministic_cc_fallback;
+use std::time::Instant;
 
 /// Tuning for a Theorem-2 run.
 #[derive(Debug, Clone, Copy)]
@@ -50,6 +53,10 @@ impl LtzParams {
 pub struct LtzStats {
     /// EXPAND-MAXLINK rounds executed.
     pub rounds: u64,
+    /// One `"round"` phase per EXPAND-MAXLINK round, in order, with the
+    /// altered original edges live at its start (`per_round.len() ==
+    /// rounds`).
+    pub per_round: Vec<PhaseStat>,
     /// Did the round cap trip and the deterministic fallback engage?
     pub fallback_engaged: bool,
     /// Hook rounds the fallback needed (its initial flatten+alter may finish
@@ -84,7 +91,16 @@ pub fn ltz_connectivity(
     let mut stats = LtzStats::default();
     while !engine.is_done() && stats.rounds < params.max_rounds {
         stats.max_level = stats.max_level.max(engine.max_level());
+        let edges = engine.edges.len() as u64;
+        let (t0, a0) = (Instant::now(), alloc_track::allocation_count());
         engine.step(forest, tracker);
+        stats.per_round.push(PhaseStat {
+            name: "round",
+            rounds: 1,
+            edges,
+            wall: t0.elapsed(),
+            allocs: alloc_track::allocation_count().saturating_sub(a0),
+        });
         stats.rounds += 1;
     }
     stats.max_level = stats.max_level.max(1);

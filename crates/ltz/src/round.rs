@@ -32,9 +32,12 @@ thread_local! {
 /// All round-to-round scratch — the parents snapshot, the active-set
 /// rebuild marks, the loop-compaction buffers — is owned by the engine
 /// (plain reused fields plus a [`SolverArena`]), so a steady-state
-/// [`step`](Self::step) performs **zero heap allocations** once warm: the
-/// only allocating events are table growth (level-ups) and, at more than
-/// one effective thread, the pool's constant per-batch bookkeeping.
+/// [`step`](Self::step) performs **zero heap allocations** once warm. The
+/// only allocating events are table activation and growth, which extend the
+/// state's one table pool (Step 0 activates a whole round's tables in a
+/// single extension, so activation costs a constant number of allocations
+/// per round, not one per vertex), and, at more than one effective thread,
+/// the thread pool's constant per-batch bookkeeping.
 #[derive(Debug)]
 pub struct LtzEngine {
     /// Level / table state.
@@ -180,12 +183,8 @@ impl LtzEngine {
         let mut parents = std::mem::take(&mut self.parents);
         parents.clear();
         parents.extend(self.active.iter().map(|&v| forest.parent(v)));
-        for &v in &self.active {
-            self.st.ensure_table(v, tracker);
-        }
-        for &v in &parents {
-            self.st.ensure_table(v, tracker);
-        }
+        self.st.ensure_tables(&self.active, tracker);
+        self.st.ensure_tables(&parents, tracker);
         self.active
             .par_iter()
             .for_each(|&v| self.collided.unset(v as usize));

@@ -30,6 +30,7 @@ impl LtzSolver {
         let mut note_dedup = 0usize;
         let mut note_arena_peak = 0u64;
         let mut note_arena_groups = None;
+        let mut per_round = Vec::new();
         let report = SolveReport::measure(ctx, |tracker| {
             let forest = ParentForest::new(n);
             let simplified = parcc_pram::primitives::simplify_edges(&edges, true, tracker);
@@ -45,9 +46,11 @@ impl LtzSolver {
             note_level = stats.max_level;
             note_arena_peak = stats.arena_peak_bytes;
             note_arena_groups = stats.arena_groups.clone();
+            per_round = stats.per_round;
             (forest.labels(tracker), Some(stats.rounds))
         });
         let report = report
+            .with_phases(per_round)
             .note("fallback", note_fallback)
             .note("max_level", note_level)
             .note("dedup_removed", note_dedup)
@@ -99,6 +102,13 @@ mod tests {
         let r = LtzSolver.solve(&g, &SolveCtx::with_seed(11));
         assert!(same_partition(&r.labels, &components(&g)));
         assert!(r.rounds.unwrap() >= 1);
+        assert_eq!(
+            r.phases.len() as u64,
+            r.rounds.unwrap(),
+            "one phase per round"
+        );
+        assert!(r.phases.iter().all(|p| p.name == "round" && p.rounds == 1));
+        assert!(r.phases[0].edges > 0);
         assert!(r.cost.work > 0);
         for &l in &r.labels {
             assert_eq!(r.labels[l as usize], l, "labels must be canonical");

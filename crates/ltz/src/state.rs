@@ -8,11 +8,16 @@
 //! After `O(log log n)` level-ups a table can hold any 2-ball, which is where
 //! the `log log n` term of Theorem 2 comes from.
 //!
-//! A table is a pair of arrays: hash **slots** for single-probe collision
-//! detection (exactly the paper's semantics: an item probes one cell; a cell
-//! occupied by a *different* item is a **collision**, the dormancy/budget-
-//! growth signal — not an error), plus a dense **item list** so that
-//! iterating a table costs its occupancy, not its capacity.
+//! Every table lives in one shared cell **pool**, as in the paper's model:
+//! Step 9 "assign[s] a block of size `β_ℓ(v)`" to `v` from a processor pool.
+//! Table `v` is one block of `2·cap(v)` cells at offset `off(v)`: first `cap`
+//! hash **slots** for single-probe collision detection (exactly the paper's
+//! semantics: an item probes one cell; a cell occupied by a *different* item
+//! is a **collision**, the dormancy/budget-growth signal — not an error),
+//! then `cap` cells of a dense **item list**, so that iterating a table
+//! costs its occupancy, not its capacity. Activating or growing tables only
+//! appends blocks to the pool, so a whole round's activations cost one pool
+//! extension, not an allocation per vertex.
 //!
 //! Total slot allocation is bounded by a global budget, mirroring the paper's
 //! processor-pool zones (Lemma 5.8): the PRAM has finitely many processors to
@@ -36,6 +41,12 @@ thread_local! {
 
 /// Empty slot / list-cell sentinel.
 const FREE: u32 = u32::MAX;
+
+/// A table capacity as stored. Item counts are `u32`s, so a capacity past
+/// `u32::MAX` is refused rather than wrapped.
+fn table_cap(cap: usize) -> u32 {
+    u32::try_from(cap).expect("LTZ table capacity exceeds u32::MAX")
+}
 
 /// Outcome of a single-probe insert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,41 +133,21 @@ impl Budget {
     }
 }
 
-/// One vertex's table: single-probe hash slots + dense item list.
-#[derive(Debug, Default)]
-struct Table {
-    slots: Box<[AtomicU32]>,
-    list: Box<[AtomicU32]>,
-    len: AtomicU32,
-}
-
-impl Table {
-    fn with_capacity(cap: usize) -> Self {
-        Table {
-            slots: make_cells(cap),
-            list: make_cells(cap),
-            len: AtomicU32::new(0),
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-}
-
-fn make_cells(size: usize) -> Box<[AtomicU32]> {
-    let mut v = Vec::with_capacity(size);
-    v.resize_with(size, || AtomicU32::new(FREE));
-    v.into_boxed_slice()
-}
-
 /// The EXPAND-MAXLINK machinery state: levels, tables, dormancy marks.
 #[derive(Debug)]
 pub struct LtzState {
     /// `ℓ(v)`, starting at 1.
     levels: Vec<AtomicU32>,
-    /// `H(v)` (capacity 0 until activated).
-    tables: Vec<Table>,
+    /// The table pool: `H(v)` is `pool[off[v]..off[v] + 2·cap[v]]`, slots
+    /// then item list. Superseded blocks are abandoned, not reused (see
+    /// [`grow_to_level`](Self::grow_to_level) for why that stays bounded).
+    pool: Vec<AtomicU32>,
+    /// Start of `H(v)`'s block in `pool`.
+    off: Vec<usize>,
+    /// Capacity of `H(v)` (0 until activated).
+    cap: Vec<u32>,
+    /// Items in `H(v)`: the next free index of its item list.
+    len: Vec<AtomicU32>,
     /// Dormancy marks for the current round.
     pub dormant: Vec<AtomicBool>,
     /// "Increased level in Step 3 this round" marks.
@@ -184,7 +175,9 @@ impl LtzState {
         let levels = std::iter::repeat_with(|| AtomicU32::new(1))
             .take(n)
             .collect();
-        let tables = std::iter::repeat_with(Table::default).take(n).collect();
+        let len = std::iter::repeat_with(|| AtomicU32::new(0))
+            .take(n)
+            .collect();
         let dormant = std::iter::repeat_with(|| AtomicBool::new(false))
             .take(n)
             .collect();
@@ -196,7 +189,10 @@ impl LtzState {
             .collect();
         Self {
             levels,
-            tables,
+            pool: Vec::new(),
+            off: vec![0; n],
+            cap: vec![0; n],
+            len,
             dormant,
             leveled,
             pending_collision,
@@ -237,14 +233,14 @@ impl LtzState {
     #[inline]
     #[must_use]
     pub fn occupied(&self, v: Vertex) -> u32 {
-        self.tables[v as usize].len.load(Ordering::Relaxed)
+        self.len[v as usize].load(Ordering::Relaxed)
     }
 
     /// Current capacity of `H(v)` (0 until activated).
     #[inline]
     #[must_use]
     pub fn capacity(&self, v: Vertex) -> usize {
-        self.tables[v as usize].capacity()
+        self.cap[v as usize] as usize
     }
 
     /// Total table slots ever allocated (telemetry).
@@ -259,12 +255,21 @@ impl LtzState {
         self.clamped_grows.load(Ordering::Relaxed)
     }
 
+    /// `H(v)`'s block split into its hash slots and its item list (both
+    /// empty until activated).
+    #[inline]
+    fn block(&self, v: Vertex) -> (&[AtomicU32], &[AtomicU32]) {
+        let cap = self.capacity(v);
+        let off = self.off[v as usize];
+        self.pool[off..off + 2 * cap].split_at(cap)
+    }
+
     /// Iterate the items of `H(v)`. Costs `O(occupied(v))`. Cells being
     /// concurrently inserted may be skipped (they are witnessed next round).
     pub fn items(&self, v: Vertex) -> impl Iterator<Item = Vertex> + '_ {
-        let t = &self.tables[v as usize];
-        let k = (t.len.load(Ordering::Relaxed) as usize).min(t.list.len());
-        t.list[..k]
+        let (_, list) = self.block(v);
+        let k = (self.occupied(v) as usize).min(list.len());
+        list[..k]
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .filter(|&w| w != FREE)
@@ -273,17 +278,17 @@ impl LtzState {
     /// Single-probe insert of `w` into `H(v)` (paper Steps 4/6). No-op
     /// `Collision` if the table is unallocated.
     pub fn insert(&self, v: Vertex, w: Vertex) -> Insert {
-        let t = &self.tables[v as usize];
-        if t.capacity() == 0 {
+        let (slots, list) = self.block(v);
+        if slots.is_empty() {
             return Insert::Collision;
         }
-        let slot = (self.hash_stream.hash(w as u64) as usize) & (t.capacity() - 1);
-        match t.slots[slot].compare_exchange(FREE, w, Ordering::Relaxed, Ordering::Relaxed) {
+        let slot = (self.hash_stream.hash(w as u64) as usize) & (slots.len() - 1);
+        match slots[slot].compare_exchange(FREE, w, Ordering::Relaxed, Ordering::Relaxed) {
             Ok(_) => {
                 // Distinct slots bound the number of News by the capacity, so
                 // the reserved list index is always in range.
-                let idx = t.len.fetch_add(1, Ordering::Relaxed) as usize;
-                t.list[idx].store(w, Ordering::Relaxed);
+                let idx = self.len[v as usize].fetch_add(1, Ordering::Relaxed) as usize;
+                list[idx].store(w, Ordering::Relaxed);
                 Insert::New
             }
             Err(cur) if cur == w => Insert::Present,
@@ -297,18 +302,32 @@ impl LtzState {
     /// steady-state drains allocate nothing.
     fn drain_into(&self, v: Vertex, out: &mut Vec<Vertex>) {
         out.clear();
-        let t = &self.tables[v as usize];
-        let k = (t.len.load(Ordering::Relaxed) as usize).min(t.list.len());
-        let mask = t.capacity().wrapping_sub(1);
-        for cell in &t.list[..k] {
+        let (slots, list) = self.block(v);
+        let k = (self.occupied(v) as usize).min(list.len());
+        let mask = slots.len().wrapping_sub(1);
+        for cell in &list[..k] {
             let w = cell.swap(FREE, Ordering::Relaxed);
             if w != FREE {
-                t.slots[(self.hash_stream.hash(w as u64) as usize) & mask]
+                slots[(self.hash_stream.hash(w as u64) as usize) & mask]
                     .store(FREE, Ordering::Relaxed);
                 out.push(w);
             }
         }
-        t.len.store(0, Ordering::Relaxed);
+        self.len[v as usize].store(0, Ordering::Relaxed);
+    }
+
+    /// The grant rule shared by growth and activation: the capacity a table
+    /// of `have < want` slots receives while `live` slots are out, halved
+    /// from `want` (down to `t1`) until twice it fits the global budget.
+    /// Returns the grant (`None`: the table keeps its size) and whether the
+    /// budget clamped it.
+    fn grant(&self, want: usize, have: usize, live: u64) -> (Option<usize>, bool) {
+        let available = self.budget.global_slot_cap.saturating_sub(live) + 2 * have as u64;
+        let mut grant = want;
+        while grant as u64 * 2 > available && grant > self.budget.t1 {
+            grant /= 2;
+        }
+        ((grant > have).then_some(grant), grant < want)
     }
 
     /// Grow `H(v)` to the size mandated by the current level (paper Step 9:
@@ -316,33 +335,35 @@ impl LtzState {
     /// draws on the global slot budget; if exhausted, the table keeps its
     /// size (counted in [`clamped_grows`](Self::clamped_grows)) — the vertex
     /// simply stays dormant-prone, which is always safe.
+    ///
+    /// The new block is appended to the pool and the old one abandoned, not
+    /// compacted. A grant is a power of two larger than the old capacity, so
+    /// every abandoned block of `H(v)` is at most half the next one: the
+    /// dead cells of a table sum to less than its live cells, and the pool
+    /// never holds more than twice the live cells.
     pub fn grow_to_level(&mut self, v: Vertex, tracker: &CostTracker) {
         let want = self.budget.table_size(self.level(v));
-        let have = self.tables[v as usize].capacity();
+        let have = self.capacity(v);
         if have >= want {
             return;
         }
-        let live = self.live_slots.load(Ordering::Relaxed);
-        let available = self.budget.global_slot_cap.saturating_sub(live) + 2 * have as u64;
-        let mut grant = want;
-        while grant as u64 * 2 > available && grant > self.budget.t1 {
-            grant /= 2;
-        }
-        if grant <= have {
+        let (grant, clamped) = self.grant(want, have, self.live_slots.load(Ordering::Relaxed));
+        if clamped {
             self.clamped_grows.fetch_add(1, Ordering::Relaxed);
+        }
+        let Some(grant) = grant else {
             return;
-        }
-        if grant < want {
-            self.clamped_grows.fetch_add(1, Ordering::Relaxed);
-        }
+        };
         DRAIN_BUF.with(|buf| {
             let mut vals = buf.borrow_mut();
             self.drain_into(v, &mut vals);
-            let old = std::mem::replace(&mut self.tables[v as usize], Table::with_capacity(grant));
-            self.live_slots.fetch_add(
-                2 * grant as u64 - 2 * old.capacity() as u64,
-                Ordering::Relaxed,
-            );
+            let off = self.pool.len();
+            self.pool
+                .resize_with(off + 2 * grant, || AtomicU32::new(FREE));
+            self.off[v as usize] = off;
+            self.cap[v as usize] = table_cap(grant);
+            self.live_slots
+                .fetch_add(2 * (grant - have) as u64, Ordering::Relaxed);
             self.slots_allocated
                 .fetch_add(grant as u64, Ordering::Relaxed);
             tracker.charge_work(grant as u64 + vals.len() as u64);
@@ -356,9 +377,40 @@ impl LtzState {
 
     /// Ensure `v` has a table (lazy activation at the current level's size).
     pub fn ensure_table(&mut self, v: Vertex, tracker: &CostTracker) {
-        if self.tables[v as usize].capacity() == 0 {
-            self.grow_to_level(v, tracker);
+        self.ensure_tables(&[v], tracker);
+    }
+
+    /// [`ensure_table`](Self::ensure_table) for every vertex of `vs`, in
+    /// order, with one serial pass and one pool extension: each missing
+    /// table gets the capacity [`grow_to_level`](Self::grow_to_level) would
+    /// grant it at that point of the walk, so capacities, counters and the
+    /// charged work equal those of a per-vertex loop. Duplicates are
+    /// activated once.
+    pub fn ensure_tables(&mut self, vs: &[Vertex], tracker: &CostTracker) {
+        let mut end = self.pool.len();
+        let mut live = self.live_slots.load(Ordering::Relaxed);
+        let (mut granted, mut clamps) = (0u64, 0u64);
+        for &v in vs {
+            if self.cap[v as usize] != 0 {
+                continue;
+            }
+            let want = self.budget.table_size(self.level(v));
+            let (grant, clamped) = self.grant(want, 0, live);
+            clamps += u64::from(clamped);
+            let Some(grant) = grant else {
+                continue;
+            };
+            self.off[v as usize] = end;
+            self.cap[v as usize] = table_cap(grant);
+            end += 2 * grant;
+            live += 2 * grant as u64;
+            granted += grant as u64;
         }
+        self.pool.resize_with(end, || AtomicU32::new(FREE));
+        self.live_slots.store(live, Ordering::Relaxed);
+        self.slots_allocated.fetch_add(granted, Ordering::Relaxed);
+        self.clamped_grows.fetch_add(clamps, Ordering::Relaxed);
+        tracker.charge_work(granted);
     }
 
     /// ALTER for the added edges (paper: "ALTER(E) also applies to those
@@ -466,27 +518,13 @@ impl LtzState {
     /// Deep copy (INTERWEAVE Step 5 revert support).
     #[must_use]
     pub fn deep_clone(&self) -> Self {
+        let copy = |cells: &[AtomicU32]| -> Vec<AtomicU32> {
+            cells
+                .iter()
+                .map(|c| AtomicU32::new(c.load(Ordering::Relaxed)))
+                .collect()
+        };
         let n = self.len();
-        let levels = (0..n)
-            .map(|v| AtomicU32::new(self.levels[v].load(Ordering::Relaxed)))
-            .collect();
-        let tables = self
-            .tables
-            .iter()
-            .map(|t| Table {
-                slots: t
-                    .slots
-                    .iter()
-                    .map(|c| AtomicU32::new(c.load(Ordering::Relaxed)))
-                    .collect(),
-                list: t
-                    .list
-                    .iter()
-                    .map(|c| AtomicU32::new(c.load(Ordering::Relaxed)))
-                    .collect(),
-                len: AtomicU32::new(t.len.load(Ordering::Relaxed)),
-            })
-            .collect();
         let dormant = std::iter::repeat_with(|| AtomicBool::new(false))
             .take(n)
             .collect();
@@ -497,8 +535,11 @@ impl LtzState {
             .map(|v| AtomicBool::new(self.pending_collision[v].load(Ordering::Relaxed)))
             .collect();
         Self {
-            levels,
-            tables,
+            levels: copy(&self.levels),
+            pool: copy(&self.pool),
+            off: self.off.clone(),
+            cap: self.cap.clone(),
+            len: copy(&self.len),
             dormant,
             leveled,
             pending_collision,
@@ -689,15 +730,110 @@ mod tests {
 
     #[test]
     fn deep_clone_is_independent() {
-        let mut st = state(3);
-        st.ensure_table(0, &t());
-        st.insert(0, 1);
-        st.set_level(0, 2);
-        let cl = st.deep_clone();
-        st.insert(0, 2);
-        st.set_level(0, 5);
-        assert_eq!(cl.level(0), 2);
-        assert_eq!(cl.occupied(0), 1);
-        assert_eq!(st.occupied(0), 2);
+        let mut st = state(64);
+        let tr = t();
+        st.ensure_tables(&[0, 1], &tr);
+        st.insert(0, 5);
+        st.insert(1, 6);
+        let mut cl = st.deep_clone();
+        // The first item from 7 on that lands in a free slot of `H(v)`.
+        let insert_fresh =
+            |st: &LtzState, v: Vertex| (7..).find(|&w| st.insert(v, w) == Insert::New).unwrap();
+        st.set_level(0, 3);
+        st.grow_to_level(0, &tr);
+        let w0 = insert_fresh(&st, 0);
+        assert_eq!(cl.level(0), 1);
+        assert_eq!(cl.capacity(0), 16);
+        assert_eq!(cl.items(0).collect::<Vec<_>>(), vec![5]);
+        cl.set_level(1, 2);
+        cl.grow_to_level(1, &tr);
+        insert_fresh(&cl, 1);
+        assert_eq!(st.capacity(1), 16);
+        assert_eq!(st.items(1).collect::<Vec<_>>(), vec![6]);
+        let mut grown: Vec<Vertex> = st.items(0).collect();
+        grown.sort_unstable();
+        assert_eq!(grown, vec![5, w0]);
+        assert_eq!(cl.occupied(1), 2);
+    }
+
+    #[test]
+    fn ensure_tables_matches_per_vertex_activation() {
+        // Mixed levels, duplicate ids and a global budget small enough to
+        // clamp: the batched pass must grant exactly what the per-vertex
+        // paths grant.
+        let n = 32;
+        let mut b = Budget::for_n(n);
+        b.global_slot_cap = 600;
+        let vs: [Vertex; 14] = [3, 7, 3, 0, 12, 7, 31, 5, 0, 20, 9, 14, 3, 25];
+        let fresh = || {
+            let st = LtzState::new(n, b, 5);
+            for v in 0..n as u32 {
+                st.set_level(v, 1 + v % 4);
+            }
+            st
+        };
+        let (mut batched, tb) = (fresh(), t());
+        batched.ensure_tables(&vs, &tb);
+        let (mut single, ts) = (fresh(), t());
+        for &v in &vs {
+            single.ensure_table(v, &ts);
+        }
+        let (mut grown, tg) = (fresh(), t());
+        for &v in &vs {
+            if grown.capacity(v) == 0 {
+                grown.grow_to_level(v, &tg);
+            }
+        }
+        assert!(batched.clamped_grows() > 0, "budget should have clamped");
+        for (st, tr) in [(&single, &ts), (&grown, &tg)] {
+            for v in 0..n as u32 {
+                assert_eq!(batched.capacity(v), st.capacity(v), "capacity of {v}");
+            }
+            assert_eq!(batched.slots_allocated(), st.slots_allocated());
+            assert_eq!(batched.clamped_grows(), st.clamped_grows());
+            assert_eq!(
+                batched.live_slots.load(Ordering::Relaxed),
+                st.live_slots.load(Ordering::Relaxed)
+            );
+            assert_eq!(tb.work(), tr.work());
+        }
+    }
+
+    #[test]
+    fn repeated_growth_keeps_items_and_bounds_the_pool() {
+        let n = 1024;
+        let mut st = state(n);
+        let tr = t();
+        let owners = [1u32, 2, 3];
+        st.ensure_tables(&owners, &tr);
+        for &v in &owners {
+            for w in [10 + v, 20 + v] {
+                assert_eq!(st.insert(v, w), Insert::New);
+            }
+        }
+        let sorted_items = |st: &LtzState, v: Vertex| {
+            let mut items: Vec<Vertex> = st.items(v).collect();
+            items.sort_unstable();
+            items
+        };
+        // Interleaved growth, so the owners' blocks interleave in the pool.
+        for level in 2..=5 {
+            for &v in &owners {
+                let before = st.capacity(v);
+                st.set_level(v, level);
+                st.grow_to_level(v, &tr);
+                assert!(st.capacity(v) >= before);
+                assert_eq!(sorted_items(&st, v), vec![10 + v, 20 + v], "level {level}");
+                let live = st.live_slots.load(Ordering::Relaxed);
+                let held: u64 = owners.iter().map(|&o| 2 * st.capacity(o) as u64).sum();
+                assert_eq!(live, held);
+                assert!(
+                    st.pool.len() as u64 <= 2 * live,
+                    "pool {} live {live}",
+                    st.pool.len()
+                );
+            }
+        }
+        assert_eq!(st.capacity(1), st.budget.cap);
     }
 }

@@ -12,7 +12,10 @@
 //!    and a hot cell is written once instead of once per writer.
 //! 2. **priority write** (MAXLINK's arg-max over neighbour levels) — realized
 //!    by [`MaxCells`] with `fetch_max` over a packed `(key, value)` word, a
-//!    standard constant-time CRCW simulation.
+//!    standard constant-time CRCW simulation. [`MaxCells::offer`] loads the
+//!    cell first and calls `fetch_max` only when its word is larger, so the
+//!    many losing offers on a hub's cell read it instead of contending for
+//!    it; the maximum, and so every winner, is unchanged.
 //! 3. **priority election by packed key** — write-then-check where the
 //!    smallest key wins ([`TagCells::write_min`]). Packing the election's
 //!    priority into the high bits and the writer's index into the low bits
@@ -178,10 +181,15 @@ impl MaxCells {
         self.cells.is_empty()
     }
 
-    /// Concurrent priority write.
+    /// Concurrent priority write. A relaxed load first, so a writer that
+    /// would lose does not dirty the cell.
     #[inline]
     pub fn offer(&self, i: usize, key: u32, payload: u32) {
-        self.cells[i].fetch_max(pack(key, payload), Ordering::Relaxed);
+        let cell = &self.cells[i];
+        let word = pack(key, payload);
+        if word > cell.load(Ordering::Relaxed) {
+            cell.fetch_max(word, Ordering::Relaxed);
+        }
     }
 
     /// Current maximum as `(key, payload)`; `(0, 0)` if never offered.
@@ -403,6 +411,31 @@ mod tests {
             .into_par_iter()
             .for_each(|i| m.offer(0, i, i + 7));
         assert_eq!(m.best(0), (999, 999 + 7));
+    }
+
+    #[test]
+    fn racing_offers_end_at_the_packed_maximum() {
+        // Every worker offers the same rising keys, each with its own
+        // payload, so offers on one cell keep racing to the end: a writer
+        // that loses the race between its load and its write must not
+        // lower the cell.
+        let (cells, steps, threads) = (8usize, 1u32 << 18, 4u32);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads as usize)
+            .build()
+            .expect("failed to build a 4-thread pool");
+        let m = MaxCells::new(cells);
+        pool.install(|| {
+            (0..threads).into_par_iter().with_min_len(1).for_each(|t| {
+                for step in 0..steps {
+                    m.offer(step as usize % cells, step, t);
+                }
+            });
+        });
+        for i in 0..cells {
+            let last = (0..steps).rev().find(|&s| s as usize % cells == i).unwrap();
+            assert_eq!(m.best(i), (last, threads - 1), "cell {i}");
+        }
     }
 
     #[test]

@@ -175,7 +175,8 @@ pub struct CompareRow {
     pub verified: bool,
     /// Solver-specific telemetry.
     pub notes: Vec<(&'static str, String)>,
-    /// Per-phase breakdown (adaptive solvers; empty otherwise).
+    /// Per-phase breakdown (adaptive solvers, and `ltz` per round; empty
+    /// otherwise).
     pub phases: Vec<parcc_graph::solver::PhaseStat>,
 }
 

@@ -1,8 +1,9 @@
 //! Allocation-counter regression tests: this binary installs the
 //! [`CountingAllocator`] hook and proves the zero-allocation hot-path
-//! claims of the PR — steady-state LTZ rounds and warm-arena primitive
-//! passes perform **zero** heap allocations under the sequential
-//! (1-thread) schedule, and bounded scheduler-only allocations otherwise.
+//! claims — steady-state LTZ rounds and warm-arena primitive passes
+//! perform **zero** heap allocations under the sequential (1-thread)
+//! schedule, whole LTZ solves allocate a near-constant count whatever n,
+//! and the parallel paths make bounded scheduler-only allocations.
 //!
 //! Everything lives in **one** `#[test]` function: the counters are
 //! process-global, so concurrently running test functions would pollute
@@ -154,6 +155,34 @@ fn warm_hybrid_sweep_rounds_are_allocation_free() {
     });
 }
 
+/// A whole Theorem-2 solve, first round included: activating a round's
+/// tables extends one pool rather than allocating per vertex, so a graph
+/// four times larger costs only a few more allocations (pool doublings,
+/// an extra round's bookkeeping), not two more per activated table.
+fn ltz_table_activation_does_not_allocate_per_vertex() {
+    use parcc::graph::generators::chung_lu;
+    use parcc::ltz::{ltz_connectivity, LtzParams};
+    run_single_threaded(|| {
+        let solve_allocs = |n: usize| -> u64 {
+            let g = chung_lu(n, 2.5, 8.0, 3);
+            let edges = g.edges().to_vec();
+            let forest = ParentForest::new(n);
+            let tracker = CostTracker::new();
+            let a0 = alloc_track::allocation_count();
+            let stats = ltz_connectivity(edges, &forest, LtzParams::for_n(n), &tracker);
+            let delta = alloc_track::allocation_count() - a0;
+            assert!(!stats.fallback_engaged && stats.table_slots > 0);
+            delta
+        };
+        let small = solve_allocs(1 << 14);
+        let large = solve_allocs(1 << 16);
+        assert!(
+            large <= small + 64,
+            "LTZ solve allocations scale with n: {small} at 2^14 vertices vs {large} at 2^16"
+        );
+    });
+}
+
 fn parallel_hot_paths_never_allocate_proportionally_to_m() {
     // At the ambient thread count (could be > 1 under PARCC_THREADS=4) the
     // pool's per-batch bookkeeping may allocate, but never O(m) data:
@@ -204,5 +233,6 @@ fn hot_paths_hold_their_allocation_budget() {
     steady_state_ltz_rounds_are_allocation_free();
     warm_arena_primitives_are_allocation_free();
     warm_hybrid_sweep_rounds_are_allocation_free();
+    ltz_table_activation_does_not_allocate_per_vertex();
     parallel_hot_paths_never_allocate_proportionally_to_m();
 }
