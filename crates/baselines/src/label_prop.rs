@@ -7,6 +7,7 @@
 
 use parcc_graph::repr::Graph;
 use parcc_pram::cost::CostTracker;
+use parcc_pram::crcw::offer_min;
 use parcc_pram::edge::{Edge, Vertex};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -48,8 +49,8 @@ impl HashMinSweep {
             .for_each(|(nx, &c)| nx.store(c, Ordering::Relaxed));
         edges.par_iter().for_each(|e| {
             let (u, v) = (e.u() as usize, e.v() as usize);
-            next[v].fetch_min(cur[u], Ordering::Relaxed);
-            next[u].fetch_min(cur[v], Ordering::Relaxed);
+            offer_min(&next[v], cur[u]);
+            offer_min(&next[u], cur[v]);
         });
         let frontier = next
             .par_iter()
@@ -158,6 +159,36 @@ mod tests {
         assert_eq!(rounds, 10);
         for &l in s.labels() {
             assert_eq!(s.labels()[l as usize], l, "fixpoint labels canonical");
+        }
+    }
+
+    #[test]
+    fn parallel_sweeps_match_a_sequential_reference() {
+        let g = gen::chung_lu(5000, 2.5, 6.0, 7);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(8)
+            .build()
+            .expect("pool");
+        let mut s = HashMinSweep::new(g.n());
+        let tracker = CostTracker::new();
+        loop {
+            let mut expect = s.labels().to_vec();
+            for e in g.edges() {
+                let (u, v) = (e.u() as usize, e.v() as usize);
+                expect[v] = expect[v].min(s.labels()[u]);
+                expect[u] = expect[u].min(s.labels()[v]);
+            }
+            let changed = expect
+                .iter()
+                .zip(s.labels())
+                .filter(|(a, b)| a != b)
+                .count();
+            let frontier = pool.install(|| s.sweep(g.edges(), &tracker));
+            assert_eq!(frontier, changed);
+            assert_eq!(s.labels(), &expect[..]);
+            if frontier == 0 {
+                break;
+            }
         }
     }
 

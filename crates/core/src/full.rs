@@ -141,22 +141,40 @@ impl AuxArray {
         emit_root: impl Fn(Vertex) -> bool + Sync,
         tracker: &CostTracker,
     ) -> Vec<Edge> {
-        let out: Vec<Edge> = self
+        // Each chunk of `V(G′)` sums its root chases locally; the pass
+        // charges the total once. Chunks combine in order, so `out` is in
+        // vertex order, and the first chunk's vector is adopted, not copied.
+        let (out, chase) = self
             .verts
             .par_iter()
-            .flat_map_iter(|&u| {
-                let ru = forest.find_root(u, tracker);
-                let slice: &[Vertex] = if emit_root(ru) {
-                    self.neighbors(u)
-                } else {
-                    &[]
-                };
-                slice.iter().filter_map(move |&w| {
-                    let rw = forest.find_root(w, tracker);
-                    (ru != rw).then_some(Edge::new(ru, rw))
-                })
-            })
-            .collect();
+            .fold(
+                || (Vec::new(), 0u64),
+                |(mut out, mut chase), &u| {
+                    let (ru, work) = forest.find_root(u);
+                    chase += work;
+                    if emit_root(ru) {
+                        for &w in self.neighbors(u) {
+                            let (rw, work) = forest.find_root(w);
+                            chase += work;
+                            if ru != rw {
+                                out.push(Edge::new(ru, rw));
+                            }
+                        }
+                    }
+                    (out, chase)
+                },
+            )
+            .reduce(
+                || (Vec::new(), 0),
+                |(mut a, x), (mut b, y)| {
+                    if a.is_empty() {
+                        return (b, x + y);
+                    }
+                    a.append(&mut b);
+                    (a, x + y)
+                },
+            );
+        tracker.charge_work(chase);
         tracker.charge(self.verts.len() as u64 + out.len() as u64, 2);
         out
     }

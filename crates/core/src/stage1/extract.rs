@@ -133,9 +133,8 @@ mod tests {
         let g = gen::expander_union(4, 120, 4, 9);
         let truth = components(&g);
         let (forest, _, _) = run_extract(&g, 2, 7);
-        let tr = CostTracker::new();
         for v in 0..g.n() as u32 {
-            let r = forest.find_root(v, &tr);
+            let r = forest.find_root(v).0;
             assert_eq!(
                 truth[r as usize], truth[v as usize],
                 "vertex {v} contracted across components"

@@ -180,13 +180,12 @@ mod tests {
             Stream::new(2, 2),
             &tracker,
         );
-        let tr = CostTracker::new();
         for v in 0..100u32 {
-            let r = forest.find_root(v, &tr);
+            let r = forest.find_root(v).0;
             assert!(r < 100, "left-half vertex {v} escaped to {r}");
         }
         for v in 100..200u32 {
-            let r = forest.find_root(v, &tr);
+            let r = forest.find_root(v).0;
             assert!(r >= 100, "right-half vertex {v} escaped to {r}");
         }
     }

@@ -238,8 +238,7 @@ mod tests {
         let mut merged = 0;
         for seed in 0..20 {
             let (f, _, _) = run_once(2, &[(0, 1)], seed);
-            let tr = CostTracker::new();
-            if f.find_root(0, &tr) == f.find_root(1, &tr) {
+            if f.find_root(0).0 == f.find_root(1).0 {
                 merged += 1;
             }
         }
@@ -256,9 +255,8 @@ mod tests {
         let n = 10;
         let pairs: Vec<(u32, u32)> = (1..n as u32).map(|v| (v, 0)).collect();
         let (f, _, hooked) = run_once(n, &pairs, 3);
-        let tr = CostTracker::new();
         for v in 1..n as u32 {
-            assert_eq!(f.find_root(v, &tr), 0, "leaf {v} should hook under 0");
+            assert_eq!(f.find_root(v).0, 0, "leaf {v} should hook under 0");
         }
         assert_eq!(hooked.len(), n - 1);
     }
@@ -367,12 +365,11 @@ mod tests {
         // Two disjoint triangles never merge.
         for seed in 0..10 {
             let (f, _, _) = run_once(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], seed);
-            let tr = CostTracker::new();
-            let left = f.find_root(0, &tr);
-            let right = f.find_root(3, &tr);
+            let left = f.find_root(0).0;
+            let right = f.find_root(3).0;
             assert_ne!(left, right);
             for v in [1u32, 2] {
-                assert_eq!(f.find_root(v, &tr), left);
+                assert_eq!(f.find_root(v).0, left);
             }
         }
     }
@@ -417,8 +414,7 @@ mod tests {
             parcc_pram::ops::alter_edges(&forest, &mut edges, true, &tracker);
         }
         // Path must never split into different components.
-        let tr = CostTracker::new();
-        let labels: Vec<u32> = (0..n as u32).map(|v| forest.find_root(v, &tr)).collect();
+        let labels: Vec<u32> = (0..n as u32).map(|v| forest.find_root(v).0).collect();
         // All hooks stayed inside the single true component.
         let distinct: std::collections::HashSet<u32> = labels.iter().copied().collect();
         assert!(distinct.len() < n, "repeated matching must contract");

@@ -221,9 +221,8 @@ mod tests {
             let g = gen::mixture(seed);
             let truth = components(&g);
             let (forest, _, _) = run_reduce(&g, seed);
-            let tr = CostTracker::new();
             for v in 0..g.n() as u32 {
-                let r = forest.find_root(v, &tr);
+                let r = forest.find_root(v).0;
                 assert_eq!(truth[r as usize], truth[v as usize]);
             }
         }

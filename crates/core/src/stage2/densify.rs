@@ -95,13 +95,12 @@ mod tests {
         ]);
         let (forest, out) = run(g.edges().to_vec(), g.n(), 16);
         assert!(out.solve_done);
-        let tr = CostTracker::new();
         for base in [0u32, 3, 6] {
-            let r = forest.find_root(base, &tr);
-            assert_eq!(forest.find_root(base + 1, &tr), r);
-            assert_eq!(forest.find_root(base + 2, &tr), r);
+            let r = forest.find_root(base).0;
+            assert_eq!(forest.find_root(base + 1).0, r);
+            assert_eq!(forest.find_root(base + 2).0, r);
         }
-        assert_ne!(forest.find_root(0, &tr), forest.find_root(3, &tr));
+        assert_ne!(forest.find_root(0).0, forest.find_root(3).0);
     }
 
     #[test]
@@ -109,11 +108,10 @@ mod tests {
         let g = gen::expander_union(3, 80, 4, 7);
         let truth = components(&g);
         let (forest, out) = run(g.edges().to_vec(), g.n(), 16);
-        let tr = CostTracker::new();
         for e in &out.eclose {
             assert_eq!(
-                truth[forest.find_root(e.u(), &tr) as usize],
-                truth[forest.find_root(e.v(), &tr) as usize],
+                truth[forest.find_root(e.u()).0 as usize],
+                truth[forest.find_root(e.v()).0 as usize],
                 "E_close edge crosses true components"
             );
         }

@@ -58,11 +58,16 @@ pub fn increase_core(
     // the same distinct-children count). Depth: the paper's O(R) replay.
     s2.clear_for(active, tracker);
     tracker.charge(active.len() as u64, params.densify_rounds(b));
-    active.par_iter().for_each(|&v| {
-        let u = forest.find_root(v, tracker);
-        s2.counts[u as usize].fetch_add(1, Ordering::Relaxed);
-        forest.set_parent(v, u);
-    });
+    let chase: u64 = active
+        .par_iter()
+        .map(|&v| {
+            let (u, work) = forest.find_root(v);
+            s2.counts[u as usize].fetch_add(1, Ordering::Relaxed);
+            forest.set_parent(v, u);
+            work
+        })
+        .sum();
+    tracker.charge_work(chase);
 
     // Step 5: heads have at least 2b tree members.
     tracker.charge(active.len() as u64, ceil_log2(b.max(2)));
@@ -243,9 +248,8 @@ mod tests {
         let g = gen::mixture(11);
         let truth = components(&g);
         let (forest, _) = run_pipeline(&g, 16, 2);
-        let tr = CostTracker::new();
         for v in 0..g.n() as u32 {
-            let r = forest.find_root(v, &tr);
+            let r = forest.find_root(v).0;
             assert_eq!(truth[r as usize], truth[v as usize]);
         }
     }
@@ -263,9 +267,8 @@ mod tests {
         }
         // And each clique is one tree.
         let truth = components(&g);
-        let tr = CostTracker::new();
         for v in 0..g.n() as u32 {
-            let r = forest.find_root(v, &tr);
+            let r = forest.find_root(v).0;
             assert_eq!(truth[r as usize], truth[v as usize]);
         }
     }
@@ -277,10 +280,9 @@ mod tests {
         let g = gen::cycle(3000);
         let b = 8;
         let (forest, cur) = run_pipeline(&g, b, 7);
-        let tr = CostTracker::new();
-        let r0 = forest.find_root(0, &tr);
+        let r0 = forest.find_root(0).0;
         for v in 0..g.n() as u32 {
-            assert_eq!(forest.find_root(v, &tr), r0, "cycle split at {v}");
+            assert_eq!(forest.find_root(v).0, r0, "cycle split at {v}");
         }
         let _ = cur;
     }

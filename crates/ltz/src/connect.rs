@@ -263,10 +263,9 @@ mod tests {
         let tracker = CostTracker::new();
         ltz_connectivity(edges, &forest, LtzParams::for_n(6), &tracker);
         forest.flatten(&tracker);
-        let tr = CostTracker::new();
-        assert_eq!(forest.find_root(0, &tr), forest.find_root(2, &tr));
-        assert_eq!(forest.find_root(4, &tr), forest.find_root(5, &tr));
-        assert_ne!(forest.find_root(0, &tr), forest.find_root(4, &tr));
+        assert_eq!(forest.find_root(0).0, forest.find_root(2).0);
+        assert_eq!(forest.find_root(4).0, forest.find_root(5).0);
+        assert_ne!(forest.find_root(0).0, forest.find_root(4).0);
     }
 
     #[test]

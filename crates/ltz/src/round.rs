@@ -446,8 +446,7 @@ mod tests {
     fn single_edge_contracts() {
         let (f, _, done) = run_to_done(2, vec![Edge::new(0, 1)], 50);
         assert!(done);
-        let tr = CostTracker::new();
-        assert_eq!(f.find_root(0, &tr), f.find_root(1, &tr));
+        assert_eq!(f.find_root(0).0, f.find_root(1).0);
     }
 
     #[test]
@@ -455,10 +454,9 @@ mod tests {
         let edges = vec![Edge::new(0, 1), Edge::new(1, 2), Edge::new(2, 0)];
         let (f, _, done) = run_to_done(3, edges, 60);
         assert!(done);
-        let tr = CostTracker::new();
-        let r = f.find_root(0, &tr);
-        assert_eq!(f.find_root(1, &tr), r);
-        assert_eq!(f.find_root(2, &tr), r);
+        let r = f.find_root(0).0;
+        assert_eq!(f.find_root(1).0, r);
+        assert_eq!(f.find_root(2).0, r);
     }
 
     #[test]
@@ -466,10 +464,9 @@ mod tests {
         let edges = vec![Edge::new(0, 1), Edge::new(2, 3)];
         let (f, _, done) = run_to_done(4, edges, 60);
         assert!(done);
-        let tr = CostTracker::new();
-        assert_eq!(f.find_root(0, &tr), f.find_root(1, &tr));
-        assert_eq!(f.find_root(2, &tr), f.find_root(3, &tr));
-        assert_ne!(f.find_root(0, &tr), f.find_root(2, &tr));
+        assert_eq!(f.find_root(0).0, f.find_root(1).0);
+        assert_eq!(f.find_root(2).0, f.find_root(3).0);
+        assert_ne!(f.find_root(0).0, f.find_root(2).0);
     }
 
     #[test]
@@ -478,9 +475,8 @@ mod tests {
         let edges: Vec<Edge> = (0..n as u32 - 1).map(|i| Edge::new(i, i + 1)).collect();
         let (f, eng, done) = run_to_done(n, edges, 200);
         assert!(done, "path failed to contract in 200 rounds");
-        let tr = CostTracker::new();
-        let r = f.find_root(0, &tr);
-        assert!((0..n as u32).all(|v| f.find_root(v, &tr) == r));
+        let r = f.find_root(0).0;
+        assert!((0..n as u32).all(|v| f.find_root(v).0 == r));
         assert!(eng.max_level() >= 1);
     }
 
@@ -616,9 +612,8 @@ mod step_tests {
                 grew = true;
             }
         }
-        let tr = CostTracker::new();
-        let r0 = forest.find_root(0, &tr);
-        assert!((0..n as u32).all(|v| forest.find_root(v, &tr) == r0));
+        let r0 = forest.find_root(0).0;
+        assert!((0..n as u32).all(|v| forest.find_root(v).0 == r0));
         // Growth may be skipped if hooking wins first; either a table grew
         // or the graph contracted within the first round — both acceptable,
         // but at least one level-up should normally be observable.

@@ -40,7 +40,7 @@ fn record_alloc(size: usize) {
     INSTALLED.store(true, Ordering::Relaxed);
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     let live = LIVE_BYTES.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+    crate::crcw::offer_max(&PEAK_BYTES, live);
 }
 
 #[inline]

@@ -9,7 +9,9 @@
 //!
 //! Charges use relaxed atomics so a tracker can be shared freely across rayon
 //! tasks; primitives charge once per call (not per item), so the overhead is
-//! negligible.
+//! negligible. A pass whose per-item cost varies (root chases) sums it
+//! locally and charges the total once, so workers never contend on the
+//! tracker.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -11,11 +11,8 @@
 //!    cell: the winner still varies, but every loser still sees a mismatch,
 //!    and a hot cell is written once instead of once per writer.
 //! 2. **priority write** (MAXLINK's arg-max over neighbour levels) — realized
-//!    by [`MaxCells`] with `fetch_max` over a packed `(key, value)` word, a
-//!    standard constant-time CRCW simulation. [`MaxCells::offer`] loads the
-//!    cell first and calls `fetch_max` only when its word is larger, so the
-//!    many losing offers on a hub's cell read it instead of contending for
-//!    it; the maximum, and so every winner, is unchanged.
+//!    by [`MaxCells`] with a max over a packed `(key, value)` word, a
+//!    standard constant-time CRCW simulation; [`MinCells`] is its dual.
 //! 3. **priority election by packed key** — write-then-check where the
 //!    smallest key wins ([`TagCells::write_min`]). Packing the election's
 //!    priority into the high bits and the writer's index into the low bits
@@ -23,6 +20,19 @@
 //!    computed from it, is a function of the input alone. The smallest
 //!    writer is one valid ARBITRARY resolution, so the paper's bounds hold
 //!    unchanged (MATCHING's Step 3 min-label election).
+//!
+//! Every priority write and every claim is **load-first**. On a CRCW PRAM a
+//! losing concurrent write costs nothing, but on real hardware a `fetch_min`,
+//! `fetch_max` or compare-exchange takes the cache line exclusive even when
+//! it loses, so the many losing offers on a hot cell would serialize on it.
+//! [`offer_min`] and [`offer_max`] — the workspace's only `fetch_min` and
+//! `fetch_max` (the cells here, [`ParentForest`](crate::forest::ParentForest)'s
+//! hooks, HashMin's label buffer) — read the cell and issue the RMW only
+//! when the offer would win, and [`TagCells::try_claim`] skips its
+//! compare-exchange on an occupied cell. Within a pass a priority cell only
+//! moves toward its extremum, and a load sees a value the cell held, so an
+//! offer the load rules out would have lost the RMW too: the final value,
+//! and every winner, is the same as with unconditional RMWs.
 //!
 //! All orderings are `Relaxed`: the batch-completion barrier at the end of
 //! every parallel pass (the pool's job handoff and completion latch are
@@ -34,7 +44,68 @@
 //! deterministic ARBITRARY resolution.
 
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+
+/// An atomic word that supports the load-first priority writes
+/// [`offer_min`] and [`offer_max`]. Sealed: implemented for [`AtomicU32`]
+/// and [`AtomicU64`].
+pub trait PriorityWord: sealed::Sealed {
+    /// The stored value.
+    type Value: Copy + Ord;
+    #[doc(hidden)]
+    fn load_relaxed(&self) -> Self::Value;
+    #[doc(hidden)]
+    fn rmw_min(&self, v: Self::Value);
+    #[doc(hidden)]
+    fn rmw_max(&self, v: Self::Value);
+}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+macro_rules! priority_word {
+    ($atomic:ty, $value:ty) => {
+        impl sealed::Sealed for $atomic {}
+        impl PriorityWord for $atomic {
+            type Value = $value;
+            #[inline]
+            fn load_relaxed(&self) -> $value {
+                self.load(Ordering::Relaxed)
+            }
+            #[inline]
+            fn rmw_min(&self, v: $value) {
+                self.fetch_min(v, Ordering::Relaxed);
+            }
+            #[inline]
+            fn rmw_max(&self, v: $value) {
+                self.fetch_max(v, Ordering::Relaxed);
+            }
+        }
+    };
+}
+
+priority_word!(AtomicU32, u32);
+priority_word!(AtomicU64, u64);
+
+/// Concurrent priority write `cell = min(cell, v)`, load-first: the RMW
+/// runs only when `v` is below the value the load saw, so a losing offer
+/// leaves the cache line shared (module doc).
+#[inline]
+pub fn offer_min<W: PriorityWord>(cell: &W, v: W::Value) {
+    if v < cell.load_relaxed() {
+        cell.rmw_min(v);
+    }
+}
+
+/// Concurrent priority write `cell = max(cell, v)`, load-first: the dual of
+/// [`offer_min`].
+#[inline]
+pub fn offer_max<W: PriorityWord>(cell: &W, v: W::Value) {
+    if v > cell.load_relaxed() {
+        cell.rmw_max(v);
+    }
+}
 
 /// Sentinel for an unoccupied cell.
 pub const EMPTY: u64 = u64::MAX;
@@ -74,14 +145,10 @@ impl TagCells {
         self.cells[i].store(tag, Ordering::Relaxed);
     }
 
-    /// Concurrent priority write: the smallest key written wins. A relaxed
-    /// load first, so a writer that would lose does not dirty the cell.
+    /// Concurrent priority write: the smallest key written wins.
     #[inline]
     pub fn write_min(&self, i: usize, key: u64) {
-        let cell = &self.cells[i];
-        if key < cell.load(Ordering::Relaxed) {
-            cell.fetch_min(key, Ordering::Relaxed);
-        }
+        offer_min(&self.cells[i], key);
     }
 
     /// Concurrent write that only an empty cell accepts. Racing writers may
@@ -112,14 +179,17 @@ impl TagCells {
     }
 
     /// First-writer-wins claim: succeeds iff the cell was [`EMPTY`].
+    /// An occupied cell fails on the load, without a compare-exchange.
     ///
     /// (On a CRCW PRAM this is two steps: write, then check the winner; a CAS
     /// realizes the same contract in one hardware op.)
     #[inline]
     pub fn try_claim(&self, i: usize, tag: u64) -> bool {
-        self.cells[i]
-            .compare_exchange(EMPTY, tag, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
+        let cell = &self.cells[i];
+        cell.load(Ordering::Relaxed) == EMPTY
+            && cell
+                .compare_exchange(EMPTY, tag, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
     }
 
     /// Clear one cell.
@@ -138,7 +208,7 @@ impl TagCells {
 
 /// Cells supporting concurrent priority (maximum) writes.
 ///
-/// Values are packed `(key << 32) | payload`; `fetch_max` then selects the
+/// Values are packed `(key << 32) | payload`; the maximum then selects the
 /// highest key and, among equal keys, the highest payload — a deterministic
 /// tie-break that is one valid ARBITRARY resolution.
 #[derive(Debug)]
@@ -181,15 +251,10 @@ impl MaxCells {
         self.cells.is_empty()
     }
 
-    /// Concurrent priority write. A relaxed load first, so a writer that
-    /// would lose does not dirty the cell.
+    /// Concurrent priority write: the largest packed word wins.
     #[inline]
     pub fn offer(&self, i: usize, key: u32, payload: u32) {
-        let cell = &self.cells[i];
-        let word = pack(key, payload);
-        if word > cell.load(Ordering::Relaxed) {
-            cell.fetch_max(word, Ordering::Relaxed);
-        }
+        offer_max(&self.cells[i], pack(key, payload));
     }
 
     /// Current maximum as `(key, payload)`; `(0, 0)` if never offered.
@@ -243,10 +308,10 @@ impl MinCells {
         self.cells.is_empty()
     }
 
-    /// Concurrent priority write.
+    /// Concurrent priority write: the smallest value wins.
     #[inline]
     pub fn offer(&self, i: usize, value: u32) {
-        self.cells[i].fetch_min(value as u64, Ordering::Relaxed);
+        offer_min(&self.cells[i], value as u64);
     }
 
     /// Current minimum, or `None` if never offered.
@@ -388,6 +453,30 @@ mod tests {
             .into_par_iter()
             .for_each(|i| t.write_min(0, 1000 - i));
         assert_eq!(t.read(0), 1);
+    }
+
+    #[test]
+    fn offer_helpers_keep_the_extremum_on_both_widths() {
+        let (a, b) = (AtomicU32::new(u32::MAX), AtomicU64::new(0));
+        for v in [7u32, 3, 9, 3, 5] {
+            offer_min(&a, v);
+            offer_max(&b, u64::from(v) << 32);
+        }
+        assert_eq!(a.load(Ordering::Relaxed), 3);
+        assert_eq!(b.load(Ordering::Relaxed), 9 << 32);
+        (0..1000u32)
+            .into_par_iter()
+            .for_each(|i| offer_min(&a, 1000 - i));
+        assert_eq!(a.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn try_claim_on_a_taken_cell_leaves_it_alone() {
+        let t = TagCells::new(2);
+        t.write(0, 8);
+        assert!(!t.try_claim(0, 1));
+        assert_eq!(t.read(0), 8);
+        assert!(t.try_claim(1, 1));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! components.
 
 use crate::cost::CostTracker;
+use crate::crcw::{offer_max, offer_min};
 use crate::edge::Vertex;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -65,19 +66,15 @@ impl ParentForest {
     /// where strictly-decreasing parent ids guarantee acyclicity.
     #[inline]
     pub fn offer_parent_min(&self, v: Vertex, u: Vertex) {
-        self.p[v as usize].fetch_min(u, Ordering::Relaxed);
+        offer_min(&self.p[v as usize], u);
     }
 
-    /// Priority hook: `v.p = max(v.p, u)`, a load first so a losing offer
-    /// does not dirty the cell. MATCHING hooks a singleton root under the
-    /// largest tail pointing into it; since that root is smaller than every
-    /// such tail, the largest offer wins whatever the schedule.
+    /// Priority hook: `v.p = max(v.p, u)`. MATCHING hooks a singleton root
+    /// under the largest tail pointing into it; since that root is smaller
+    /// than every such tail, the largest offer wins whatever the schedule.
     #[inline]
     pub fn offer_parent_max(&self, v: Vertex, u: Vertex) {
-        let cell = &self.p[v as usize];
-        if u > cell.load(Ordering::Relaxed) {
-            cell.fetch_max(u, Ordering::Relaxed);
-        }
+        offer_max(&self.p[v as usize], u);
     }
 
     /// Priority hook of a root: `v.p` becomes the smallest `u` offered, where
@@ -147,21 +144,24 @@ impl ParentForest {
         set.par_iter().for_each(|&v| self.shortcut_vertex(v));
     }
 
-    /// Chase parent pointers to the root of `v`'s tree.
+    /// Chase parent pointers to the root of `v`'s tree; returns the root and
+    /// the work of the chase, one per pointer read (hops + 1).
     ///
     /// Used (a) by verification code and (b) as the implementation of the
     /// paper's `v.p^{(2R+1)}` snapshot replay (Def. 5.18) — both compute the
-    /// unique root of `v`'s current tree (see DESIGN.md §3). The caller charges
-    /// depth `O(max height)`; work is charged here per hop.
+    /// unique root of `v`'s current tree (see DESIGN.md §3). Nothing is
+    /// charged here: a pass over many vertices sums the work locally and
+    /// charges the total once, so workers do not contend on the tracker. The
+    /// caller also charges depth `O(max height)`.
+    #[inline]
     #[must_use]
-    pub fn find_root(&self, v: Vertex, tracker: &CostTracker) -> Vertex {
+    pub fn find_root(&self, v: Vertex) -> (Vertex, u64) {
         let mut x = v;
         let mut hops = 0u64;
         loop {
             let px = self.parent(x);
             if px == x {
-                tracker.charge_work(hops + 1);
-                return x;
+                return (x, hops + 1);
             }
             x = px;
             hops += 1;
@@ -231,12 +231,21 @@ impl ParentForest {
     }
 
     /// Component label per vertex (= root id), chasing pointers as needed.
+    /// Charges the work of every chase, once for the whole pass.
     #[must_use]
     pub fn labels(&self, tracker: &CostTracker) -> Vec<Vertex> {
-        (0..self.len() as u32)
-            .into_par_iter()
-            .map(|v| self.find_root(v, tracker))
-            .collect()
+        let mut labels = vec![0; self.len()];
+        let work: u64 = labels
+            .par_iter_mut()
+            .enumerate()
+            .map(|(v, label)| {
+                let (root, work) = self.find_root(v as Vertex);
+                *label = root;
+                work
+            })
+            .sum();
+        tracker.charge_work(work);
+        labels
     }
 
     /// Copy of the raw parent array (used by INTERWEAVE's revert, §7.1 Step 5).
@@ -317,7 +326,7 @@ mod tests {
         f.set_parent(3, 2);
         assert_eq!(f.max_height(), 3);
         assert_eq!(f.root_count(), 1);
-        assert_eq!(f.find_root(3, &t()), 0);
+        assert_eq!(f.find_root(3).0, 0);
     }
 
     #[test]
@@ -369,8 +378,7 @@ mod tests {
         f.flatten(&t());
         assert_eq!(f.max_height(), 1);
         assert_eq!(f.root_count(), 1);
-        let tr = t();
-        assert!((0..n as u32).all(|v| f.find_root(v, &tr) == 0));
+        assert!((0..n as u32).all(|v| f.find_root(v).0 == 0));
     }
 
     #[test]
@@ -381,6 +389,38 @@ mod tests {
         f.set_parent(4, 3);
         let l = f.labels(&t());
         assert_eq!(l, vec![0, 0, 0, 3, 3, 5]);
+    }
+
+    #[test]
+    fn labels_charge_one_per_pointer_read() {
+        // Chain 3 -> 2 -> 1 -> 0 plus the tree 5 -> 4: chases of 1+2+3+4
+        // reads on the chain, 1+2 on the tree.
+        let f = ParentForest::new(6);
+        for v in 1..4u32 {
+            f.set_parent(v, v - 1);
+        }
+        f.set_parent(5, 4);
+        let tr = t();
+        assert_eq!(f.labels(&tr), vec![0, 0, 0, 0, 4, 4]);
+        assert_eq!(tr.work(), 10 + 3);
+        assert_eq!(tr.depth(), 0);
+        // A long chain at several threads: the pass total is exact.
+        let n = 3000u32;
+        let f = ParentForest::new(n as usize);
+        for v in 1..n {
+            f.set_parent(v, v - 1);
+        }
+        let expect = u64::from(n) * u64::from(n + 1) / 2;
+        for threads in [1, 2, 8] {
+            let tr = t();
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            let labels = pool.install(|| f.labels(&tr));
+            assert!(labels.iter().all(|&l| l == 0));
+            assert_eq!(tr.work(), expect, "{threads} threads");
+        }
     }
 
     #[test]

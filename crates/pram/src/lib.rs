@@ -18,7 +18,7 @@
 //!   paper's time bounds.
 //! * [`crcw`] provides the shared-memory cells whose concurrent-write semantics
 //!   match ARBITRARY CRCW: racing relaxed atomic stores ([`crcw::TagCells`]) and
-//!   `fetch_max` priority cells ([`crcw::MaxCells`]).
+//!   load-first priority writes ([`crcw::offer_min`], [`crcw::offer_max`]).
 //! * [`forest::ParentForest`] is the *labeled digraph* of the paper (§2.1): the
 //!   global parent pointers `v.p` every subroutine manipulates.
 //! * [`primitives`] implements the classical PRAM building blocks the paper

@@ -143,11 +143,10 @@ mod tests {
         let orig = e.clone();
         deterministic_cc_fallback(&f, &mut e, &t());
         // Every edge's endpoints share a root.
-        let tr = t();
         for &edge in &orig {
             assert_eq!(
-                f.find_root(edge.u(), &tr),
-                f.find_root(edge.v(), &tr),
+                f.find_root(edge.u()).0,
+                f.find_root(edge.v()).0,
                 "edge {:?} split",
                 edge.ends()
             );
@@ -155,9 +154,8 @@ mod tests {
     }
 
     fn edgesless_and_single_root(f: &ParentForest, n: u32) -> bool {
-        let tr = t();
-        let r0 = f.find_root(0, &tr);
-        (0..n).all(|v| f.find_root(v, &tr) == r0)
+        let r0 = f.find_root(0).0;
+        (0..n).all(|v| f.find_root(v).0 == r0)
     }
 
     #[test]
@@ -173,9 +171,8 @@ mod tests {
             Edge::new(5, 3),
         ];
         deterministic_cc_fallback(&f, &mut e, &t());
-        let tr = t();
-        assert_eq!(f.find_root(0, &tr), f.find_root(2, &tr));
-        assert_eq!(f.find_root(3, &tr), f.find_root(5, &tr));
-        assert_ne!(f.find_root(0, &tr), f.find_root(3, &tr));
+        assert_eq!(f.find_root(0).0, f.find_root(2).0);
+        assert_eq!(f.find_root(3).0, f.find_root(5).0);
+        assert_ne!(f.find_root(0).0, f.find_root(3).0);
     }
 }

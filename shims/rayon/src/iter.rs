@@ -570,6 +570,44 @@ impl<P: ParIter, B: IntoIterator, F: Fn(P::Item) -> B + Sync> ParIter for FlatMa
     }
 }
 
+/// `fold` adapter: every folded range yields one accumulator, built from
+/// `id()` by folding the range's items in slot order (rayon's `fold`).
+#[derive(Clone, Debug)]
+pub struct FoldPar<P, ID, F> {
+    base: P,
+    id: ID,
+    f: F,
+}
+
+impl<P: ParIter, T, ID: Fn() -> T + Sync, F: Fn(T, P::Item) -> T + Sync> ParIter
+    for FoldPar<P, ID, F>
+{
+    type Item = T;
+    fn slots(&self) -> usize {
+        self.base.slots()
+    }
+    unsafe fn fold_slots<A, G: FnMut(A, T) -> A>(
+        &self,
+        range: Range<usize>,
+        acc: A,
+        g: &mut G,
+    ) -> A {
+        // SAFETY: forwarded contract.
+        let t = unsafe {
+            self.base
+                .fold_slots(range, (self.id)(), &mut |t, x| (self.f)(t, x))
+        };
+        g(acc, t)
+    }
+    fn begin_drive(&self) {
+        self.base.begin_drive();
+    }
+    unsafe fn skip_slots(&self, range: Range<usize>) {
+        // SAFETY: forwarded contract.
+        unsafe { self.base.skip_slots(range) }
+    }
+}
+
 /// `zip` adapter over two indexed engines.
 #[derive(Clone, Debug)]
 pub struct ZipPar<P, Q> {
@@ -698,6 +736,24 @@ impl<P: ParIter> Par<P> {
     ) -> Par<FlatMapIterPar<P, F>> {
         Par {
             p: FlatMapIterPar { base: self.p, f },
+            min_len: self.min_len,
+        }
+    }
+
+    /// Fold runs of items into per-run accumulators (rayon's `fold`): each
+    /// chunk the driver folds yields one `T`, started from `id()`. Combine
+    /// them with a terminal such as `reduce`; chunks stay in slot order.
+    pub fn fold<T, ID, F>(self, id: ID, f: F) -> Par<FoldPar<P, ID, F>>
+    where
+        ID: Fn() -> T + Sync + Send,
+        F: Fn(T, P::Item) -> T + Sync + Send,
+    {
+        Par {
+            p: FoldPar {
+                base: self.p,
+                id,
+                f,
+            },
             min_len: self.min_len,
         }
     }

@@ -51,9 +51,9 @@ mod sort;
 pub mod topology;
 
 pub use iter::{
-    ChunksMutPar, ChunksPar, EnumeratePar, FilterMapPar, FilterPar, FlatMapIterPar, IndexedParIter,
-    IntoParIter, MapPar, Par, ParIter, ParSlice, RangeItem, RangePar, SliceMutPar, SlicePar,
-    VecPar, ZipPar,
+    ChunksMutPar, ChunksPar, EnumeratePar, FilterMapPar, FilterPar, FlatMapIterPar, FoldPar,
+    IndexedParIter, IntoParIter, MapPar, Par, ParIter, ParSlice, RangeItem, RangePar, SliceMutPar,
+    SlicePar, VecPar, ZipPar,
 };
 pub use pool::{current_num_threads, join, num_node_groups};
 
@@ -212,6 +212,35 @@ mod tests {
                 (0..10_000u64).into_par_iter().map(|i| i * 3).collect()
             });
             assert_eq!(got, expect, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn fold_then_reduce_keeps_slot_order_at_any_thread_count() {
+        let expect: Vec<u64> = (0..10_000u64).filter(|i| i % 3 == 0).collect();
+        for threads in [1, 2, 8] {
+            let (got, count) = with_threads(threads, || {
+                (0..10_000u64)
+                    .into_par_iter()
+                    .fold(
+                        || (Vec::new(), 0u64),
+                        |(mut v, n), i| {
+                            if i % 3 == 0 {
+                                v.push(i);
+                            }
+                            (v, n + 1)
+                        },
+                    )
+                    .reduce(
+                        || (Vec::new(), 0),
+                        |(mut a, x), (mut b, y)| {
+                            a.append(&mut b);
+                            (a, x + y)
+                        },
+                    )
+            });
+            assert_eq!(got, expect, "threads={threads}");
+            assert_eq!(count, 10_000, "threads={threads}");
         }
     }
 

@@ -15,9 +15,8 @@ use parcc::pram::rng::Stream;
 /// Every vertex's root lies in its true component.
 fn assert_contraction_safe(g: &Graph, forest: &ParentForest, context: &str) {
     let truth = components(g);
-    let tracker = CostTracker::new();
     for v in 0..g.n() as u32 {
-        let r = forest.find_root(v, &tracker);
+        let r = forest.find_root(v).0;
         assert_eq!(
             truth[r as usize], truth[v as usize],
             "{context}: vertex {v} contracted across components"

@@ -114,9 +114,9 @@ proptest! {
             }
         }
         let tracker = CostTracker::new();
-        let before: Vec<u32> = (0..40).map(|v| forest.find_root(v, &tracker)).collect();
+        let before: Vec<u32> = (0..40).map(|v| forest.find_root(v).0).collect();
         forest.flatten(&tracker);
-        let after: Vec<u32> = (0..40).map(|v| forest.find_root(v, &tracker)).collect();
+        let after: Vec<u32> = (0..40).map(|v| forest.find_root(v).0).collect();
         prop_assert_eq!(before, after);
         prop_assert!(forest.max_height() <= 1);
     }
@@ -144,7 +144,7 @@ proptest! {
         let out = reduce(g.edges(), &params, &forest, &scratch, &tracker);
         let truth = union_find(&g);
         for v in 0..g.n() as u32 {
-            let r = forest.find_root(v, &tracker);
+            let r = forest.find_root(v).0;
             prop_assert_eq!(truth[r as usize], truth[v as usize]);
         }
         prop_assert!(forest.max_height() <= 1);

@@ -18,10 +18,11 @@ use parcc::graph::traverse::{components, same_partition};
 use parcc::graph::Graph;
 use parcc::ltz::{ltz_connectivity, LtzParams};
 use parcc::pram::cost::CostTracker;
-use parcc::pram::crcw::{Flags, MaxCells, MinCells, TagCells};
+use parcc::pram::crcw::{offer_min, pack, Flags, MaxCells, MinCells, TagCells};
 use parcc::pram::forest::ParentForest;
 use parcc::solver::{self, SolveCtx};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Run `f` with the effective thread count pinned to `k` (clamped to the
 /// pool capacity, which is ≥ 8 even on single-core machines).
@@ -137,27 +138,53 @@ fn ltz_is_thread_count_invariant() {
 
 #[test]
 fn baselines_are_thread_count_invariant() {
+    // SV, label-prop and Liu–Tarjan P+SS claim `deterministic`: their
+    // priority writes pick the same winner in any order, so labels, work
+    // and depth must be bit-identical to the 1-thread run.
+    type Run = (Vec<u32>, u64, u64);
+    let exact = |solve: &dyn Fn(&CostTracker) -> Vec<u32>| -> Run {
+        let t = CostTracker::new();
+        let labels = solve(&t);
+        (labels, t.work(), t.depth())
+    };
     for (name, g) in zoo(17) {
         let truth = components(&g);
+        let mut base: Option<[Run; 3]> = None;
         for k in THREAD_COUNTS {
-            with_threads(k, || {
+            let runs = with_threads(k, || {
                 let t = CostTracker::new();
-                let (sv, _) = baselines::shiloach_vishkin(&g, &t);
-                assert!(
-                    same_partition(&sv, &truth),
-                    "SV wrong on {name} at {k} threads"
-                );
                 let (rm, _) = baselines::random_mate(&g, 17, &t);
                 assert!(
                     same_partition(&rm, &truth),
                     "random-mate wrong on {name} at {k} threads"
                 );
-                let (lp, _) = baselines::label_propagation(&g, &t);
-                assert!(
-                    same_partition(&lp, &truth),
-                    "label-prop wrong on {name} at {k} threads"
-                );
+                [
+                    exact(&|t| baselines::shiloach_vishkin(&g, t).0),
+                    exact(&|t| baselines::label_propagation(&g, t).0),
+                    exact(&|t| {
+                        baselines::liu_tarjan(&g, baselines::LtVariant::ParentDoubleShortcut, t).0
+                    }),
+                ]
             });
+            for (solver, run) in ["SV", "label-prop", "liu-tarjan-pss"].iter().zip(&runs) {
+                assert!(
+                    same_partition(&run.0, &truth),
+                    "{solver} wrong on {name} at {k} threads"
+                );
+            }
+            match &base {
+                None => base = Some(runs),
+                Some(base) => {
+                    for (solver, (run, one)) in ["SV", "label-prop", "liu-tarjan-pss"]
+                        .iter()
+                        .zip(runs.iter().zip(base))
+                    {
+                        assert_eq!(run.0, one.0, "{solver} labels on {name} at {k} threads");
+                        assert_eq!(run.1, one.1, "{solver} work on {name} at {k} threads");
+                        assert_eq!(run.2, one.2, "{solver} depth on {name} at {k} threads");
+                    }
+                }
+            }
         }
     }
 }
@@ -248,22 +275,133 @@ fn degrees_and_min_degree_match_sequential_at_any_thread_count() {
 const HAMMER_OPS: u64 = 200_000;
 const HAMMER_CELLS: usize = 64;
 
+/// Racing priority writes: `RACE_WORKERS` workers each walk the same
+/// `RACE_STEPS` steps at the same time; step `s` offers to cell
+/// `s % HAMMER_CELLS`. Offer `i` is step `i % RACE_STEPS` of worker
+/// `i / RACE_STEPS`.
+const RACE_WORKERS: u64 = 8;
+const RACE_STEPS: u64 = 1 << 15;
+/// Fresh-cell races per test: whether a lost update survives to the end
+/// depends on the schedule, so one race may miss it.
+const RACE_ROUNDS: usize = 16;
+
+fn race(offer: impl Fn(u64) + Sync + Send) {
+    with_threads(RACE_WORKERS as usize, || {
+        (0..RACE_WORKERS)
+            .into_par_iter()
+            .with_min_len(1)
+            .for_each(|w| (0..RACE_STEPS).for_each(|s| offer(w * RACE_STEPS + s)));
+    });
+}
+
+fn cell_of(i: u64) -> usize {
+    (i % RACE_STEPS % HAMMER_CELLS as u64) as usize
+}
+
+/// The value of offer `i`. Values fall with the step, plus noise wider than
+/// the fall between two visits to a cell. So each cell sees winning offers
+/// after losing ones, and the workers' offers that would win race each
+/// other to the RMW: a load-first write must still reach it for every one.
+fn falling(i: u64) -> u32 {
+    let visit = (i % RACE_STEPS / HAMMER_CELLS as u64) as u32;
+    let noise = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as u32;
+    (RACE_STEPS as u32 - visit) * 4 + noise
+}
+
+/// Per cell, the minimum of `value` over all offers, after checking that
+/// the offers, replayed step by step across the workers, both win and lose
+/// on every cell.
+fn expected_min<T: Copy + Ord>(value: impl Fn(u64) -> T) -> Vec<T> {
+    let mut best: Vec<Option<T>> = vec![None; HAMMER_CELLS];
+    let (mut wins, mut losses) = (vec![0u32; HAMMER_CELLS], vec![0u32; HAMMER_CELLS]);
+    for s in 0..RACE_STEPS {
+        for w in 0..RACE_WORKERS {
+            let i = w * RACE_STEPS + s;
+            let (c, v) = (cell_of(i), value(i));
+            if best[c].is_none_or(|b| v < b) {
+                best[c] = Some(v);
+                wins[c] += 1;
+            } else {
+                losses[c] += 1;
+            }
+        }
+    }
+    for c in 0..HAMMER_CELLS {
+        assert!(
+            wins[c] > 16 && losses[c] > 16,
+            "cell {c}: {} wins, {} losses",
+            wins[c],
+            losses[c]
+        );
+    }
+    best.into_iter().map(Option::unwrap).collect()
+}
+
 #[test]
 fn tag_cells_claims_have_exactly_one_winner_per_cell() {
+    // Claims land on cells in a scrambled order, and the cells are cleared
+    // between rounds, so every round each cell gets a winning claim racing
+    // losing ones, some of which the load turns away and some the CAS.
+    const ROUNDS: u64 = 64;
+    let per_round = HAMMER_OPS / ROUNDS;
     with_threads(8, || {
         let t = TagCells::new(HAMMER_CELLS);
-        let winners: Vec<(usize, u64)> = (0..HAMMER_OPS)
-            .into_par_iter()
-            .filter_map(|i| {
-                let cell = (i % HAMMER_CELLS as u64) as usize;
-                t.try_claim(cell, i).then_some((cell, i))
-            })
-            .collect();
-        assert_eq!(winners.len(), HAMMER_CELLS, "one claim winner per cell");
-        for (cell, tag) in winners {
-            assert_eq!(t.read(cell), tag, "cell {cell} must hold its winner's tag");
+        for round in 0..ROUNDS {
+            let winners: Vec<(usize, u64)> = (0..per_round)
+                .into_par_iter()
+                .filter_map(|i| {
+                    let cell = (i.wrapping_mul(0x9E37_79B9) >> 7) as usize % HAMMER_CELLS;
+                    t.try_claim(cell, i).then_some((cell, i))
+                })
+                .collect();
+            let mut won = vec![0u32; HAMMER_CELLS];
+            for &(cell, tag) in &winners {
+                won[cell] += 1;
+                assert_eq!(
+                    t.read(cell),
+                    tag,
+                    "round {round}: cell {cell} must hold its winner's tag"
+                );
+            }
+            assert!(
+                won.iter().all(|&w| w == 1),
+                "round {round}: claims per cell {won:?}"
+            );
+            t.reset_all();
         }
     });
+}
+
+#[test]
+fn offer_min_on_u32_cells_keeps_the_minimum_under_contention() {
+    let expect = expected_min(falling);
+    for round in 0..RACE_ROUNDS {
+        let cells: Vec<AtomicU32> = (0..HAMMER_CELLS)
+            .map(|_| AtomicU32::new(u32::MAX))
+            .collect();
+        race(|i| offer_min(&cells[cell_of(i)], falling(i)));
+        for (c, cell) in cells.iter().enumerate() {
+            assert_eq!(
+                cell.load(Ordering::Relaxed),
+                expect[c],
+                "round {round}, cell {c}"
+            );
+        }
+    }
+}
+
+#[test]
+fn write_min_on_u64_keys_keeps_the_minimum_under_contention() {
+    // Packed keys as MATCHING's election writes them: value high, writer low.
+    let key = |i: u64| (u64::from(falling(i)) << 32) | i;
+    let expect = expected_min(key);
+    for round in 0..RACE_ROUNDS {
+        let t = TagCells::new(HAMMER_CELLS);
+        race(|i| t.write_min(cell_of(i), key(i)));
+        for (c, &k) in expect.iter().enumerate() {
+            assert_eq!(t.read(c), k, "round {round}, cell {c}");
+        }
+    }
 }
 
 #[test]
@@ -285,36 +423,38 @@ fn tag_cells_arbitrary_writes_resolve_to_some_writer() {
 
 #[test]
 fn max_cells_select_the_maximum_under_contention() {
-    with_threads(8, || {
+    // Keys rise with noise (the mirror of `falling`); the payload is the
+    // offer's index, so ties on a key break by it.
+    let word = |i: u64| pack(u32::MAX - falling(i), i as u32);
+    let expect = expected_min(|i| std::cmp::Reverse(word(i)));
+    for round in 0..RACE_ROUNDS {
         let m = MaxCells::new(HAMMER_CELLS);
-        (0..HAMMER_OPS).into_par_iter().for_each(|i| {
-            let cell = (i % HAMMER_CELLS as u64) as usize;
-            m.offer(cell, (i / HAMMER_CELLS as u64) as u32, i as u32);
-        });
-        let rounds = HAMMER_OPS / HAMMER_CELLS as u64;
-        for cell in 0..HAMMER_CELLS {
-            let (key, _) = m.best(cell);
-            assert_eq!(key as u64, rounds - 1, "cell {cell} lost its maximum");
+        race(|i| m.offer(cell_of(i), u32::MAX - falling(i), i as u32));
+        for (c, w) in expect.iter().enumerate() {
+            let (key, payload) = m.best(c);
+            assert_eq!(
+                pack(key, payload),
+                w.0,
+                "round {round}: cell {c} lost its maximum"
+            );
         }
-    });
+    }
 }
 
 #[test]
 fn min_cells_select_the_minimum_under_contention() {
-    with_threads(8, || {
+    let expect = expected_min(falling);
+    for round in 0..RACE_ROUNDS {
         let m = MinCells::new(HAMMER_CELLS);
-        (0..HAMMER_OPS).into_par_iter().for_each(|i| {
-            let cell = (i % HAMMER_CELLS as u64) as usize;
-            m.offer(cell, (i + HAMMER_CELLS as u64) as u32);
-        });
-        for cell in 0..HAMMER_CELLS {
+        race(|i| m.offer(cell_of(i), falling(i)));
+        for (c, &v) in expect.iter().enumerate() {
             assert_eq!(
-                m.best(cell),
-                Some(cell as u32 + HAMMER_CELLS as u32),
-                "cell {cell} lost its minimum"
+                m.best(c),
+                Some(v),
+                "round {round}: cell {c} lost its minimum"
             );
         }
-    });
+    }
 }
 
 #[test]
