@@ -33,8 +33,8 @@ use parcc_pram::cost::{ceil_log2, ceil_loglog, Cost, CostTracker};
 use parcc_pram::crcw::Flags;
 use parcc_pram::edge::{Edge, Vertex};
 use parcc_pram::forest::ParentForest;
-use parcc_pram::ops::alter_edges_with;
-use parcc_pram::primitives::{padded_sort, retain_edges_with, simplify_edges_with};
+use parcc_pram::ops::alter_edges;
+use parcc_pram::primitives::{padded_sort, retain, simplify_edges_with};
 use parcc_pram::rng::Stream;
 use rayon::prelude::*;
 
@@ -408,7 +408,7 @@ pub fn connectivity_sharded(
                 .filter_map(|(&e, &in_h1)| (!in_h1).then_some(e))
                 .collect();
             tracker.charge(cur.edges.len() as u64, 1);
-            alter_edges_with(&forest, &mut eremain, true, &mut arena, tracker);
+            alter_edges(&forest, &mut eremain, true, tracker);
             let simplified = simplify_edges_with(&eremain, true, &mut arena, tracker);
             arena.give_edges(eremain);
             let eremain = simplified;
@@ -449,12 +449,11 @@ pub fn connectivity_sharded(
             );
             hooked_all.extend_from_slice(&hooked);
             forest.shortcut_set(&hooked, tracker);
-            alter_edges_with(&forest, &mut efilter, true, &mut arena, tracker);
+            alter_edges(&forest, &mut efilter, true, tracker);
             let del = filter_stream.substream(0xdead_0000 | (i as u64) << 8 | r);
-            retain_edges_with(
+            retain(
                 &mut efilter,
                 |&ed| !del.coin(ed.0, params.filter_delete_prob),
-                &mut arena,
                 tracker,
             );
         }
@@ -488,7 +487,7 @@ pub fn connectivity_sharded(
                 tracker,
             );
             forest.shortcut_set(&hooked, tracker);
-            alter_edges_with(&forest, &mut e_extra, true, &mut arena, tracker);
+            alter_edges(&forest, &mut e_extra, true, tracker);
         }
 
         // ---- Step 10: REVERSE(V(E_filter), E(H₂)). ----
@@ -507,7 +506,7 @@ pub fn connectivity_sharded(
         // Library safety pass (DESIGN.md §5): all phases failed — finish the
         // remnant current graph directly with Theorem 2.
         let mut remnant = cur.edges.clone();
-        alter_edges_with(&forest, &mut remnant, true, &mut arena, tracker);
+        alter_edges(&forest, &mut remnant, true, tracker);
         let remnant = simplify_edges_with(&remnant, true, &mut arena, tracker);
         stats.remain_edges = remnant.len();
         stats.remain = ltz_connectivity(remnant, &forest, ltz_params, tracker);

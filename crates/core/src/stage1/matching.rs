@@ -26,6 +26,22 @@
 //! has more than one arc, which does not depend on who wins, and their
 //! hooks each have a single writer. The nine steps run as 11 fused passes
 //! over the edges; each pass only reads what earlier passes finished.
+//!
+//! ## Cell lifetimes
+//!
+//! The per-vertex cells live in [`Stage1Scratch`] across calls, and a call
+//! never sweeps them clean. The four election cells (`out_winner`,
+//! `in_winner`, `in_winner2`, `end_mark`) start every call empty: each
+//! written cell has one winner, and the pass that checks the election
+//! (Steps 3, 5, 6 and 8) clears it through that winner
+//! ([`TagCells::check_clear`](parcc_pram::crcw::TagCells::check_clear)).
+//! A loser that reads the cleared cell still sees a mismatch, so every
+//! outcome is that of the plain check. The five flags are epoch bytes
+//! under the call's epoch ([`Stage1Scratch::epoch_for`]), so flags from
+//! earlier calls read as clear. The hooked list comes from the hook passes
+//! themselves: Steps 6 and 8 have one writer per hooked vertex, and Step
+//! 4's many offers into one singleton report it once, through a claim on
+//! `update_log` under the call's tag.
 
 use crate::stage1::scratch::Stage1Scratch;
 use parcc_pram::cost::CostTracker;
@@ -37,9 +53,9 @@ use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Run MATCHING(E). `edges` is filtered in place (Step 1's deletions);
-/// hooked vertices are logged in `scratch.update_log` under `tag` and
-/// returned. Charges `O(|E|)` work at `O(1)` depth. Edge indices must fit
-/// in 32 bits (the Step-3 election key).
+/// the vertices hooked are returned, each once. `tag` must come fresh from
+/// `scratch.next_tag()`. Charges `O(|E|)` work at `O(1)` depth. Edge
+/// indices must fit in 32 bits (the Step-3 election key).
 pub fn matching(
     edges: &mut Vec<Edge>,
     forest: &ParentForest,
@@ -60,14 +76,7 @@ pub fn matching(
     let m = edges.len();
     debug_assert!(m <= u32::MAX as usize, "edge index must fit the Step-3 key");
     tracker.charge(m as u64 * 9, 9);
-
-    // Collect the distinct endpoints (claim-once) and clear their cells.
-    let verts: Vec<Vertex> = edges
-        .par_iter()
-        .flat_map_iter(|e| [e.u(), e.v()])
-        .filter(|&v| scratch.vert_mark.try_claim(v as usize, 0))
-        .collect();
-    scratch.clear_for(&verts);
+    let epoch = scratch.epoch_for(tag, tracker);
 
     // Step 2: orient each edge from the large end to the small end.
     let tail = |e: Edge| e.u().max(e.v()) as usize;
@@ -77,10 +86,6 @@ pub fn matching(
     in_d.resize_with(m, || AtomicBool::new(true));
     let live = |i: usize| in_d[i].load(Ordering::Relaxed);
     let remove = |i: usize| in_d[i].store(false, Ordering::Relaxed);
-    let hook = |v: usize, under: usize| {
-        forest.set_parent(v as Vertex, under as Vertex);
-        scratch.update_log.write(v, tag);
-    };
 
     // Step 3: each tail keeps its arc to the smallest head.
     edges.par_iter().enumerate().for_each(|(i, &e)| {
@@ -88,35 +93,39 @@ pub fn matching(
     });
     // Step 3 check; Step 4 marks the ends of D's surviving arcs.
     edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if scratch.out_winner.read(tail(e)) == key(i, e) {
-            scratch.non_singleton.set(tail(e));
-            scratch.non_singleton.set(head(e));
+        if scratch.out_winner.check_clear(tail(e), key(i, e)) {
+            scratch.non_singleton.set(tail(e), epoch);
+            scratch.non_singleton.set(head(e), epoch);
         } else {
             remove(i);
         }
     });
     // Step 4: hook each singleton head under its largest tail. Step 5
     // write: roots with >1 incoming arcs lose all their outgoing arcs.
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        let (t, h) = (tail(e), head(e));
-        if !scratch.non_singleton.get(h) {
-            forest.offer_parent_max(h as Vertex, t as Vertex);
-            if scratch.update_log.read(h) != tag {
-                scratch.update_log.write(h, tag);
+    let singletons: Vec<Vertex> = edges
+        .par_iter()
+        .enumerate()
+        .filter_map(|(i, &e)| {
+            let (t, h) = (tail(e), head(e));
+            if !scratch.non_singleton.get(h, epoch) {
+                forest.offer_parent_max(h as Vertex, t as Vertex);
+                return scratch.update_log.claim_tag(h, tag).then_some(h as Vertex);
             }
-        } else if live(i) {
-            scratch.in_winner.write_vacant(h, i as u64);
-        }
-    });
+            if live(i) {
+                scratch.in_winner.write_vacant(h, i as u64);
+            }
+            None
+        })
+        .collect();
     edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i) && scratch.in_winner.read(head(e)) != i as u64 {
-            scratch.multi_in.set(head(e));
+        if live(i) && !scratch.in_winner.check_clear(head(e), i as u64) {
+            scratch.multi_in.set(head(e), epoch);
         }
     });
     // Step 5 prune; Step 6 write: re-detect multi-in heads on the pruned D.
     edges.par_iter().enumerate().for_each(|(i, &e)| {
         if live(i) {
-            if scratch.multi_in.get(tail(e)) {
+            if scratch.multi_in.get(tail(e), epoch) {
                 remove(i);
             } else {
                 scratch.in_winner2.write_vacant(head(e), i as u64);
@@ -124,25 +133,34 @@ pub fn matching(
         }
     });
     edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i) && scratch.in_winner2.read(head(e)) != i as u64 {
-            scratch.multi_in2.set(head(e));
+        if live(i) && !scratch.in_winner2.check_clear(head(e), i as u64) {
+            scratch.multi_in2.set(head(e), epoch);
         }
     });
     // Step 6 hook: multi-in heads absorb all their in-neighbours, which
-    // leave D.
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i) && scratch.multi_in2.get(head(e)) {
-            hook(tail(e), head(e));
-            scratch.deleted.set(tail(e));
-        }
-    });
+    // leave D. A tail has one arc left, so one writer per hooked vertex.
+    let absorbed: Vec<Vertex> = edges
+        .par_iter()
+        .enumerate()
+        .filter_map(|(i, &e)| {
+            let (t, h) = (tail(e), head(e));
+            (live(i) && scratch.multi_in2.get(h, epoch)).then(|| {
+                forest.set_parent(t as Vertex, h as Vertex);
+                scratch.deleted.set(t, epoch);
+                t as Vertex
+            })
+        })
+        .collect();
     // Step 6 prune; Step 7 deletes each remaining arc with probability 1/2;
     // Step 8 write: isolated arcs are found by write-then-verify, where any
     // losing arc marks the shared end.
     edges.par_iter().enumerate().for_each(|(i, &e)| {
         if live(i) {
             let (t, h) = (tail(e), head(e));
-            if scratch.deleted.get(t) || scratch.deleted.get(h) || stream.coin(i as u64, 0.5) {
+            if scratch.deleted.get(t, epoch)
+                || scratch.deleted.get(h, epoch)
+                || stream.coin(i as u64, 0.5)
+            {
                 remove(i);
             } else {
                 scratch.end_mark.write_vacant(t, i as u64);
@@ -153,19 +171,25 @@ pub fn matching(
     edges.par_iter().enumerate().for_each(|(i, &e)| {
         if live(i) {
             for v in [tail(e), head(e)] {
-                if scratch.end_mark.read(v) != i as u64 {
-                    scratch.shared.set(v);
+                if !scratch.end_mark.check_clear(v, i as u64) {
+                    scratch.shared.set(v, epoch);
                 }
             }
         }
     });
-    // Step 8 hook: isolated arcs hook their head under their tail.
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        let (t, h) = (tail(e), head(e));
-        if live(i) && !scratch.shared.get(t) && !scratch.shared.get(h) {
-            hook(h, t);
-        }
-    });
+    // Step 8 hook: isolated arcs hook their head under their tail; an
+    // unshared head has this one arc, so one writer per hooked vertex.
+    let isolated: Vec<Vertex> = edges
+        .par_iter()
+        .enumerate()
+        .filter_map(|(i, &e)| {
+            let (t, h) = (tail(e), head(e));
+            (live(i) && !scratch.shared.get(t, epoch) && !scratch.shared.get(h, epoch)).then(|| {
+                forest.set_parent(h as Vertex, t as Vertex);
+                h as Vertex
+            })
+        })
+        .collect();
 
     // Step 9: both ends of every edge shortcut once.
     edges.par_iter().for_each(|&e| {
@@ -173,15 +197,10 @@ pub fn matching(
         forest.shortcut_vertex(e.v());
     });
 
-    // Collect hooked vertices and release the endpoint claims.
-    let hooked: Vec<Vertex> = verts
-        .par_iter()
-        .copied()
-        .filter(|&v| scratch.update_log.read(v as usize) == tag)
-        .collect();
-    verts
-        .par_iter()
-        .for_each(|&v| scratch.vert_mark.clear(v as usize));
+    let mut hooked = Vec::with_capacity(singletons.len() + absorbed.len() + isolated.len());
+    for part in [singletons, absorbed, isolated] {
+        hooked.extend_from_slice(&part);
+    }
     hooked
 }
 
@@ -263,6 +282,12 @@ mod tests {
 
     #[test]
     fn tail_keeps_its_arc_to_the_smallest_head_in_any_input_order() {
+        // Tail 10 offers arcs to 5, 2 and 9; tail 7 points at 2 as well.
+        // If 10 keeps its arc to 2, head 2 has two in-arcs and absorbs both
+        // tails in Step 6, and the singletons 5 and 9 hook under 10 in
+        // Step 4 and shortcut to 2 in Step 9. Had 10 kept any other arc, no
+        // step would hook it under 2. None of this depends on Step 7's
+        // coins.
         let arcs = [(10u32, 5u32), (10, 2), (10, 9)];
         let orders = [
             [0, 1, 2],
@@ -279,7 +304,8 @@ mod tests {
                 .iter()
                 .map(|&k| Edge::new(arcs[k].0, arcs[k].1))
                 .collect();
-            matching(
+            edges.push(Edge::new(7, 2));
+            let mut hooked = matching(
                 &mut edges,
                 &forest,
                 &scratch,
@@ -287,11 +313,15 @@ mod tests {
                 scratch.next_tag(),
                 &CostTracker::new(),
             );
-            let kept_head = scratch.out_winner.read(10) >> 32;
-            assert_eq!(kept_head, 2, "order {order:?}");
-            // Heads 5 and 9 are singletons after Step 3 and hook under 10.
-            assert_eq!(forest.parent(5), 10);
-            assert_eq!(forest.parent(9), 10);
+            assert_eq!(forest.parent(10), 2, "order {order:?}");
+            assert_eq!(forest.parent(7), 2, "order {order:?}");
+            assert_eq!(forest.parent(5), 2, "order {order:?}");
+            assert_eq!(forest.parent(9), 2, "order {order:?}");
+            assert!(forest.is_root(2));
+            hooked.sort_unstable();
+            assert_eq!(hooked, vec![5, 7, 9, 10], "order {order:?}");
+            // The winner emptied the Step-3 cell.
+            assert!(scratch.out_winner.vacant(10), "order {order:?}");
         }
     }
 
@@ -418,5 +448,113 @@ mod tests {
         // All hooks stayed inside the single true component.
         let distinct: std::collections::HashSet<u32> = labels.iter().copied().collect();
         assert!(distinct.len() < n, "repeated matching must contract");
+    }
+
+    fn with_threads<T: Send>(k: usize, f: impl FnOnce() -> T + Send) -> T {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(k)
+            .build()
+            .expect("pool")
+            .install(f)
+    }
+
+    fn random_pairs(n: usize, m: u64, seed: u64) -> Vec<(u32, u32)> {
+        let s = Stream::new(seed, 3);
+        (0..m)
+            .map(|i| {
+                (
+                    s.below(2 * i, n as u64) as u32,
+                    s.below(2 * i + 1, n as u64) as u32,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hooked_lists_each_changed_vertex_once_at_any_thread_count() {
+        // A hub-heavy graph large enough for every pass to split into
+        // parallel chunks.
+        let g = parcc_graph::generators::chung_lu(20_000, 2.5, 8.0, 5);
+        let pairs: Vec<(u32, u32)> = g.edges().iter().map(|e| e.ends()).collect();
+        let mut base = None;
+        for k in [1, 2, 8] {
+            let (forest, edges, hooked) = with_threads(k, || run_once(g.n(), &pairs, 21));
+            let mut sorted = hooked.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), hooked.len(), "duplicates at {k} threads");
+            let changed: Vec<Vertex> = (0..g.n() as Vertex)
+                .filter(|&v| !forest.is_root(v))
+                .collect();
+            assert_eq!(sorted, changed, "hooked != parent changed at {k} threads");
+            assert!(!changed.is_empty());
+            let result = (forest.snapshot(), edges, sorted);
+            match &base {
+                None => base = Some(result),
+                Some(b) => assert!(*b == result, "result differs at {k} threads"),
+            }
+        }
+    }
+
+    #[test]
+    fn election_cells_are_empty_after_every_call() {
+        let n = 500;
+        let scratch = Stage1Scratch::new(n);
+        let tracker = CostTracker::new();
+        for call in 0..20u64 {
+            let forest = ParentForest::new(n);
+            let mut edges: Vec<Edge> = random_pairs(n, 1500, call)
+                .into_iter()
+                .map(|(u, v)| Edge::new(u, v))
+                .collect();
+            matching(
+                &mut edges,
+                &forest,
+                &scratch,
+                Stream::new(call, 4),
+                scratch.next_tag(),
+                &tracker,
+            );
+            for cells in [
+                &scratch.out_winner,
+                &scratch.in_winner,
+                &scratch.in_winner2,
+                &scratch.end_mark,
+            ] {
+                assert!((0..n).all(|v| cells.vacant(v)), "call {call}");
+            }
+        }
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_scratch_across_epoch_wraps() {
+        // More calls than one epoch cycle holds: a flag left over from an
+        // epoch's previous use would change some later call's hooks.
+        let n = 300;
+        let shared = Stage1Scratch::new(n);
+        let tracker = CostTracker::new();
+        for call in 0..600u64 {
+            let pairs = random_pairs(n, 400 + call % 7 * 50, call);
+            let stream = Stream::new(call, 8);
+            let run = |scratch: &Stage1Scratch| {
+                let forest = ParentForest::new(n);
+                let mut edges: Vec<Edge> = pairs.iter().map(|&(u, v)| Edge::new(u, v)).collect();
+                let mut hooked = matching(
+                    &mut edges,
+                    &forest,
+                    scratch,
+                    stream,
+                    scratch.next_tag(),
+                    &tracker,
+                );
+                hooked.sort_unstable();
+                (forest.snapshot(), edges, hooked)
+            };
+            let fresh = run(&Stage1Scratch::new(n));
+            assert!(
+                run(&shared) == fresh,
+                "call {call} differs on reused scratch"
+            );
+        }
     }
 }

@@ -1,15 +1,21 @@
 //! Shared scratch memory for Stage 1.
 //!
 //! MATCHING is invoked hundreds of times per run; its per-vertex CRCW cells
-//! are allocated once here and cleared *only for the vertices each call
-//! touches* (the paper's processors likewise reuse indexed blocks). The
-//! update log survives across calls — entries are tagged with a
-//! monotonically increasing tag, so stale entries are never mistaken for
+//! are allocated once here and never cleared between calls (the paper's
+//! processors likewise reuse indexed blocks). Each election cell is emptied
+//! by its winner in the pass that checks it, and each flag is an epoch byte
+//! that only reads as set under the call that set it, so a call pays for
+//! the vertices it touches and nothing more. Epochs come from the call's
+//! tag (see [`Stage1Scratch::epoch_for`]); the update log keeps whole tags,
+//! which increase monotonically, so stale entries are never mistaken for
 //! current ones.
 
-use parcc_pram::crcw::{Flags, TagCells};
-use parcc_pram::edge::Vertex;
+use parcc_pram::cost::CostTracker;
+use parcc_pram::crcw::{EpochFlags, Flags, TagCells};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Distinct epochs per cycle of tags: epochs are `1..=EPOCHS`.
+const EPOCHS: u64 = u8::MAX as u64;
 
 /// Reusable per-vertex cells for MATCHING / FILTER / EXTRACT / REDUCE.
 #[derive(Debug)]
@@ -23,22 +29,26 @@ pub struct Stage1Scratch {
     /// End-sharing election (Step 8).
     pub end_mark: TagCells,
     /// ">1 incoming arcs" marks for Step 5.
-    pub multi_in: Flags,
+    pub multi_in: EpochFlags,
     /// ">1 incoming arcs" marks for Step 6.
-    pub multi_in2: Flags,
+    pub multi_in2: EpochFlags,
     /// "has an adjacent arc in D" marks (Step 4 singleton detection).
-    pub non_singleton: Flags,
+    pub non_singleton: EpochFlags,
     /// Vertices deleted from D in Step 6.
-    pub deleted: Flags,
+    pub deleted: EpochFlags,
     /// "end is shared" marks (Step 8).
-    pub shared: Flags,
-    /// Distinct-endpoint collection (claim-once).
+    pub shared: EpochFlags,
+    /// Distinct-endpoint collection (claim-once) for FILTER and REDUCE.
     pub vert_mark: TagCells,
     /// Membership marks for `V'` in EXTRACT/REDUCE.
     pub in_vprime: Flags,
-    /// Hook log: `update_log[v] = tag` when `v.p` was hooked under that tag.
+    /// Step-4 hook log: `update_log[v] = tag` once MATCHING call `tag` has
+    /// reported the singleton `v` as hooked.
     pub update_log: TagCells,
     tag_counter: AtomicU64,
+    /// The tag cycle (`tag / EPOCHS`) the epoch flags currently belong to.
+    /// Only the calling thread touches it, between parallel passes.
+    epoch_cycle: AtomicU64,
 }
 
 impl Stage1Scratch {
@@ -50,15 +60,16 @@ impl Stage1Scratch {
             in_winner: TagCells::new(n),
             in_winner2: TagCells::new(n),
             end_mark: TagCells::new(n),
-            multi_in: Flags::new(n),
-            multi_in2: Flags::new(n),
-            non_singleton: Flags::new(n),
-            deleted: Flags::new(n),
-            shared: Flags::new(n),
+            multi_in: EpochFlags::new(n),
+            multi_in2: EpochFlags::new(n),
+            non_singleton: EpochFlags::new(n),
+            deleted: EpochFlags::new(n),
+            shared: EpochFlags::new(n),
             vert_mark: TagCells::new(n),
             in_vprime: Flags::new(n),
             update_log: TagCells::new(n),
             tag_counter: AtomicU64::new(1),
+            epoch_cycle: AtomicU64::new(0),
         }
     }
 
@@ -67,22 +78,27 @@ impl Stage1Scratch {
         self.tag_counter.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Clear the per-call cells for the given vertices (the update log and
-    /// `in_vprime` are managed by their owners).
-    pub fn clear_for(&self, verts: &[Vertex]) {
-        use rayon::prelude::*;
-        verts.par_iter().for_each(|&v| {
-            let i = v as usize;
-            self.out_winner.clear(i);
-            self.in_winner.clear(i);
-            self.in_winner2.clear(i);
-            self.end_mark.clear(i);
-            self.multi_in.unset(i);
-            self.multi_in2.unset(i);
-            self.non_singleton.unset(i);
-            self.deleted.unset(i);
-            self.shared.unset(i);
-        });
+    /// The epoch (`1..=255`) under which the MATCHING call holding `tag`
+    /// sets and reads the five epoch-flag arrays. Tags map to epochs in
+    /// cycles of 255; the first call of a new cycle resets all five arrays
+    /// and charges `(5n, 1)` for it, so no flag set under an epoch's
+    /// previous use survives into the next.
+    pub fn epoch_for(&self, tag: u64, tracker: &CostTracker) -> u8 {
+        let cycle = tag / EPOCHS;
+        if self.epoch_cycle.swap(cycle, Ordering::Relaxed) != cycle {
+            let flags = [
+                &self.multi_in,
+                &self.multi_in2,
+                &self.non_singleton,
+                &self.deleted,
+                &self.shared,
+            ];
+            for f in flags {
+                f.reset_all();
+            }
+            tracker.charge(5 * self.multi_in.len() as u64, 1);
+        }
+        (tag % EPOCHS) as u8 + 1
     }
 }
 
@@ -99,14 +115,23 @@ mod tests {
     }
 
     #[test]
-    fn clear_for_resets_only_given() {
+    fn epochs_are_distinct_within_a_cycle_and_a_new_cycle_resets() {
         let s = Stage1Scratch::new(3);
-        s.multi_in.set(0);
-        s.multi_in.set(2);
-        s.out_winner.write(2, 9);
-        s.clear_for(&[2]);
-        assert!(s.multi_in.get(0));
-        assert!(!s.multi_in.get(2));
-        assert!(s.out_winner.vacant(2));
+        let t = CostTracker::new();
+        let mut seen = std::collections::HashSet::new();
+        for tag in 1..EPOCHS {
+            let e = s.epoch_for(tag, &t);
+            assert!(e != 0 && seen.insert(e), "tag {tag} epoch {e}");
+        }
+        assert_eq!(t.work(), 0, "no reset inside the first cycle");
+        let e = s.epoch_for(EPOCHS - 1, &t);
+        s.shared.set(2, e);
+        s.non_singleton.set(0, e);
+        // The next tag starts a new cycle: every flag is reset and charged.
+        let wrapped = s.epoch_for(EPOCHS, &t);
+        assert!(!s.shared.get(2, e) && !s.non_singleton.get(0, e));
+        assert!((0..3).all(|i| !s.shared.get(i, wrapped)));
+        assert_eq!(t.work(), 5 * 3);
+        assert_eq!(t.depth(), 1);
     }
 }

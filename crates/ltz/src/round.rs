@@ -8,12 +8,11 @@
 
 use crate::maxlink::maxlink;
 use crate::state::{Insert, LtzState};
-use parcc_pram::arena::{ArenaStats, SolverArena};
 use parcc_pram::cost::CostTracker;
 use parcc_pram::crcw::{Flags, MaxCells};
 use parcc_pram::edge::{Edge, Vertex};
 use parcc_pram::forest::ParentForest;
-use parcc_pram::ops::{alter_edges, alter_edges_with};
+use parcc_pram::ops::alter_edges;
 use parcc_pram::rng::Stream;
 use rayon::prelude::*;
 use std::cell::RefCell;
@@ -21,8 +20,8 @@ use std::sync::atomic::Ordering;
 
 thread_local! {
     /// Per-thread scratch for [`LtzEngine::square_tables`]'s item snapshot
-    /// (taken inside a per-vertex parallel loop, so arena scratch cannot
-    /// serve it). Warm after the first round — steady-state squaring
+    /// (taken inside a per-vertex parallel loop, so engine-owned scratch
+    /// cannot serve it). Warm after the first round — steady-state squaring
     /// allocates nothing.
     static SQUARE_BUF: RefCell<Vec<Vertex>> = const { RefCell::new(Vec::new()) };
 }
@@ -30,8 +29,8 @@ thread_local! {
 /// A steppable EXPAND-MAXLINK execution over one edge set.
 ///
 /// All round-to-round scratch — the parents snapshot, the active-set
-/// rebuild marks, the loop-compaction buffers — is owned by the engine
-/// (plain reused fields plus a [`SolverArena`]), so a steady-state
+/// rebuild marks — is owned by the engine as plain reused fields, and
+/// ALTER's loop deletion compacts in place, so a steady-state
 /// [`step`](Self::step) performs **zero heap allocations** once warm. The
 /// only allocating events are table activation and growth, which extend the
 /// state's one table pool (Step 0 activates a whole round's tables in a
@@ -51,8 +50,6 @@ pub struct LtzEngine {
     best: MaxCells,
     collided: Flags,
     stream: Stream,
-    /// Reusable buffer pool for the per-round edge compactions.
-    arena: SolverArena,
     /// Reused Step-0 parents snapshot.
     parents: Vec<Vertex>,
     /// Reused Step-9 growth work list.
@@ -97,7 +94,6 @@ impl LtzEngine {
             best: MaxCells::new(n),
             collided: Flags::new(n),
             stream: Stream::new(seed, 0x70_17),
-            arena: SolverArena::new(),
             parents: Vec::new(),
             to_grow: Vec::new(),
             seen: Flags::new(n),
@@ -105,18 +101,6 @@ impl LtzEngine {
         };
         engine.recompute_active(&[], tracker);
         engine
-    }
-
-    /// Usage counters of the engine's internal buffer pool (telemetry).
-    #[must_use]
-    pub fn arena_stats(&self) -> ArenaStats {
-        self.arena.stats()
-    }
-
-    /// Per-node checkout summary of the pool, when >1 group saw traffic.
-    #[must_use]
-    pub fn arena_group_summary(&self) -> Option<String> {
-        self.arena.group_summary()
     }
 
     /// All components contracted (no current-graph vertices left)?
@@ -198,7 +182,7 @@ impl LtzEngine {
             &self.best,
             tracker,
         );
-        alter_edges_with(forest, &mut self.edges, true, &mut self.arena, tracker);
+        alter_edges(forest, &mut self.edges, true, tracker);
         self.st.alter_tables(&self.active, forest, tracker);
 
         // Step 3: random level increase for roots, w.p. β(v)^{-x}.
@@ -249,7 +233,7 @@ impl LtzEngine {
             tracker,
         );
         forest.shortcut_set(&self.active, tracker);
-        alter_edges_with(forest, &mut self.edges, true, &mut self.arena, tracker);
+        alter_edges(forest, &mut self.edges, true, tracker);
         self.st.alter_tables(&self.active, forest, tracker);
 
         // Step 8: dormant roots that did not level in Step 3 level up now.

@@ -10,6 +10,9 @@
 //!    writer?" matters, [`TagCells::write_vacant`] stores only into an empty
 //!    cell: the winner still varies, but every loser still sees a mismatch,
 //!    and a hot cell is written once instead of once per writer.
+//!    [`TagCells::check_clear`] lets the winner empty its cell during the
+//!    check, and [`EpochFlags`] mark under a per-call epoch, so cells reused
+//!    call after call need no clearing pass.
 //! 2. **priority write** (MAXLINK's arg-max over neighbour levels) — realized
 //!    by [`MaxCells`] with a max over a packed `(key, value)` word, a
 //!    standard constant-time CRCW simulation; [`MinCells`] is its dual.
@@ -44,7 +47,7 @@
 //! deterministic ARBITRARY resolution.
 
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 /// An atomic word that supports the load-first priority writes
 /// [`offer_min`] and [`offer_max`]. Sealed: implemented for [`AtomicU32`]
@@ -169,6 +172,38 @@ impl TagCells {
     #[must_use]
     pub fn read(&self, i: usize) -> u64 {
         self.cells[i].load(Ordering::Relaxed)
+    }
+
+    /// The check of a write-then-check election, self-clearing: true iff
+    /// the cell holds `tag`, and then the caller clears it. In a check pass
+    /// after the writes, only the unique winner sees its own tag; a loser
+    /// that reads the cleared [`EMPTY`] still sees a mismatch. So the
+    /// outcome is that of a plain [`read`](Self::read), and every cell the
+    /// election wrote is [`EMPTY`] again afterwards.
+    #[inline]
+    pub fn check_clear(&self, i: usize, tag: u64) -> bool {
+        let won = self.read(i) == tag;
+        if won {
+            self.clear(i);
+        }
+        won
+    }
+
+    /// Move the cell to `tag` and report whether this caller moved it:
+    /// among concurrent callers with the same `tag`, exactly one per cell
+    /// returns true. A cell already at `tag` fails on the load, without a
+    /// compare-exchange.
+    #[inline]
+    pub fn claim_tag(&self, i: usize, tag: u64) -> bool {
+        let cell = &self.cells[i];
+        let mut cur = cell.load(Ordering::Relaxed);
+        while cur != tag {
+            match cell.compare_exchange_weak(cur, tag, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return true,
+                Err(now) => cur = now,
+            }
+        }
+        false
     }
 
     /// Is the cell unoccupied?
@@ -394,6 +429,65 @@ impl Flags {
     }
 }
 
+/// A byte per flag, set under an epoch: [`set`](Self::set) stores the
+/// caller's epoch and [`get`](Self::get) compares against it, so a flag set
+/// under another epoch reads as clear and no clearing pass is needed
+/// between uses. Epochs are `1..=255` (0 is the initial, never-set state);
+/// before an epoch value is used a second time, the owner must
+/// [`reset_all`](Self::reset_all).
+#[derive(Debug)]
+pub struct EpochFlags {
+    marks: Vec<AtomicU8>,
+}
+
+impl EpochFlags {
+    /// `n` flags, clear under every epoch.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        let mut marks = Vec::with_capacity(n);
+        marks.resize_with(n, || AtomicU8::new(0));
+        Self { marks }
+    }
+
+    /// Number of flags.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.marks.len()
+    }
+
+    /// True if there are no flags.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.marks.is_empty()
+    }
+
+    /// Set flag `i` under `epoch`. Loads first, so re-setting a hot flag
+    /// does not dirty its cache line.
+    #[inline]
+    pub fn set(&self, i: usize, epoch: u8) {
+        debug_assert!(epoch != 0, "epoch 0 is the never-set state");
+        let mark = &self.marks[i];
+        if mark.load(Ordering::Relaxed) != epoch {
+            mark.store(epoch, Ordering::Relaxed);
+        }
+    }
+
+    /// Is flag `i` set under `epoch`?
+    #[inline]
+    #[must_use]
+    pub fn get(&self, i: usize, epoch: u8) -> bool {
+        self.marks[i].load(Ordering::Relaxed) == epoch
+    }
+
+    /// Clear every flag under every epoch, in parallel. The caller charges
+    /// the cost.
+    pub fn reset_all(&self) {
+        self.marks
+            .par_iter()
+            .for_each(|m| m.store(0, Ordering::Relaxed));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,6 +648,48 @@ mod tests {
         f.set(2);
         f.reset_all();
         assert!((0..3).all(|i| !f.get(i)));
+    }
+
+    #[test]
+    fn epoch_flags_read_clear_under_other_epochs() {
+        let f = EpochFlags::new(3);
+        assert!((0..3).all(|i| !f.get(i, 1)));
+        f.set(1, 1);
+        assert!(f.get(1, 1) && !f.get(1, 2) && !f.get(0, 1));
+        f.set(1, 2);
+        assert!(f.get(1, 2) && !f.get(1, 1));
+        f.reset_all();
+        assert!((0..3).all(|i| !f.get(i, 2)));
+    }
+
+    #[test]
+    fn check_clear_leaves_every_elected_cell_empty() {
+        // Racing writers, then a parallel check pass: exactly one writer
+        // per cell sees itself, and every cell ends empty.
+        let cells = 16usize;
+        let t = TagCells::new(cells);
+        (0..4096u64)
+            .into_par_iter()
+            .for_each(|i| t.write_vacant(i as usize % cells, i));
+        let winners = (0..4096u64)
+            .into_par_iter()
+            .filter(|&i| t.check_clear(i as usize % cells, i))
+            .count();
+        assert_eq!(winners, cells);
+        assert!((0..cells).all(|i| t.vacant(i)));
+    }
+
+    #[test]
+    fn claim_tag_has_one_winner_per_cell_and_tag() {
+        let t = TagCells::new(4);
+        for tag in [7u64, 8] {
+            let winners: Vec<u64> = (0..2000u64)
+                .into_par_iter()
+                .filter(|&i| t.claim_tag(i as usize % 4, tag))
+                .collect();
+            assert_eq!(winners.len(), 4, "tag {tag}");
+            assert!((0..4).all(|i| t.read(i) == tag));
+        }
     }
 
     #[test]

@@ -11,15 +11,16 @@
 //! deterministic hook-to-minimum + flatten loop that is unconditionally
 //! correct.
 
-use crate::arena::SolverArena;
 use crate::cost::CostTracker;
 use crate::edge::Edge;
 use crate::forest::ParentForest;
-use crate::primitives::{retain, retain_edges_with};
+use crate::primitives::retain;
 use rayon::prelude::*;
 
 /// ALTER(E): move every edge to the endpoints' parents; optionally delete the
 /// loops this creates. Charges `(|E|, 2)` plus compaction when dropping loops.
+/// Allocation-free at any thread count: the loop deletion is the in-place
+/// [`retain`].
 pub fn alter_edges(
     forest: &ParentForest,
     edges: &mut Vec<Edge>,
@@ -32,26 +33,6 @@ pub fn alter_edges(
     });
     if drop_loops {
         retain(edges, |e| !e.is_loop(), tracker);
-    }
-}
-
-/// [`alter_edges`] drawing its loop-compaction scratch from `arena`: the
-/// hot-loop variant (LTZ rounds, the paper's phase retries) that performs
-/// zero heap allocations once the arena is warm. Identical output and
-/// charges.
-pub fn alter_edges_with(
-    forest: &ParentForest,
-    edges: &mut Vec<Edge>,
-    drop_loops: bool,
-    arena: &mut SolverArena,
-    tracker: &CostTracker,
-) {
-    tracker.charge(edges.len() as u64, 2);
-    edges.par_iter_mut().for_each(|e| {
-        *e = Edge::new(forest.parent(e.u()), forest.parent(e.v()));
-    });
-    if drop_loops {
-        retain_edges_with(edges, |e| !e.is_loop(), arena, tracker);
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! | primitive | paper source | paper cost | realization here |
 //! |---|---|---|---|
-//! | approximate compaction | Lemma 4.2 `[Goo91]` | `O(log* n)` time, `O(n)` work | two-pass chunk-count + disjoint scatter |
+//! | approximate compaction | Lemma 4.2 `[Goo91]` | `O(log* n)` time, `O(n)` work | `retain`: per-chunk in-place compaction + ordered slide; `compact*`: chunk-count + disjoint scatter |
 //! | padded sort | Lemma 7.9 `[HR92]` | `O(log log m)` time, `O(m)` work | parallel LSD radix sort ([`crate::sort`]) |
 //! | perfect-hash dedup | `[GMV91]` | `O(log* n)` time, `O(m)` work | canonicalize + sort + adjacent-dedup |
 //! | prefix sum | `[BH89]` lower bound | `Θ(log n / log log n)` | blocked two-pass scan, charged `log n` |
@@ -28,12 +28,12 @@
 //! ## Allocation discipline
 //!
 //! The hot-path variants (`*_into`, `*_with`) write into caller-provided
-//! buffers and draw scratch from a [`SolverArena`], so repeat passes —
-//! the paper's per-phase re-sorts, the LTZ engine's per-round compactions
-//! — perform **zero heap allocations** once warm. With one effective
-//! thread every pass folds inline on the caller (no scheduler
-//! bookkeeping); with more, only the pool's per-batch bookkeeping
-//! allocates, never `O(n)` data.
+//! buffers and draw scratch from a [`SolverArena`], and [`retain`]
+//! compacts in place, so repeat passes — the paper's per-phase re-sorts,
+//! the LTZ engine's per-round compactions — perform **zero heap
+//! allocations** once warm. With one effective thread every pass folds
+//! inline on the caller (no scheduler bookkeeping); with more, only the
+//! pool's per-batch bookkeeping allocates, never `O(n)` data.
 
 use crate::arena::SolverArena;
 use crate::cost::{ceil_log2, ceil_loglog, log_star, CostTracker};
@@ -188,56 +188,41 @@ pub fn compact_into<T: Copy + Send + Sync>(
 }
 
 /// In-place variant of [`compact`] for the ubiquitous "delete edges where ..."
-/// steps. Charges `(n, log* n)`. With one effective thread this compacts in
-/// place with two cursors (zero allocations); otherwise it filters into a
-/// fresh buffer — see [`retain_edges_with`] for the arena-scratch variant.
-/// `keep` must be pure: the parallel path evaluates it twice per item.
+/// steps. Charges `(n, log* n)`. Evaluates `keep` exactly once per item and
+/// allocates no data buffer at any thread count: with one effective thread
+/// it compacts with two cursors; with more, each chunk compacts itself in
+/// parallel and the chunks' survivors then slide down in order.
 pub fn retain<T: Copy + Send + Sync>(
     items: &mut Vec<T>,
     keep: impl Fn(&T) -> bool + Sync,
     tracker: &CostTracker,
 ) {
     tracker.charge(items.len() as u64, log_star(items.len() as u64));
-    if rayon::current_num_threads() <= 1 || items.len() < SEQ_SCATTER {
-        retain_in_place(items, keep);
+    let len = items.len();
+    let threads = rayon::current_num_threads().max(1);
+    if threads <= 1 || len < SEQ_SCATTER {
+        let w = compact_slice(items, &keep);
+        items.truncate(w);
         return;
     }
-    let mut out = Vec::new();
-    scatter_filter_into(
-        items.len(),
-        |i| keep(&items[i]).then_some(items[i]),
-        &mut out,
-    );
-    *items = out;
-}
-
-/// [`retain`] drawing its parallel scratch from `arena`: zero heap
-/// allocations once the arena is warm, at any thread count the data
-/// buffers are concerned. Charges `(n, log* n)`. `keep` must be pure: the
-/// parallel path evaluates it twice per item.
-pub fn retain_edges_with(
-    edges: &mut Vec<Edge>,
-    keep: impl Fn(&Edge) -> bool + Sync,
-    arena: &mut SolverArena,
-    tracker: &CostTracker,
-) {
-    tracker.charge(edges.len() as u64, log_star(edges.len() as u64));
-    if rayon::current_num_threads() <= 1 || edges.len() < SEQ_SCATTER {
-        retain_in_place(edges, keep);
-        return;
+    let n_chunks = (threads * 2).min(len.div_ceil(SEQ_SCATTER));
+    let chunk = len.div_ceil(n_chunks);
+    let kept: Vec<usize> = items
+        .par_chunks_mut(chunk)
+        .with_min_len(1)
+        .map(|c| compact_slice(c, &keep))
+        .collect();
+    let mut w = 0;
+    for (c, &k) in kept.iter().enumerate() {
+        items.copy_within(c * chunk..c * chunk + k, w);
+        w += k;
     }
-    let mut scratch = arena.take_edges();
-    scatter_filter_into(
-        edges.len(),
-        |i| keep(&edges[i]).then_some(edges[i]),
-        &mut scratch,
-    );
-    std::mem::swap(edges, &mut scratch);
-    arena.give_edges(scratch);
+    items.truncate(w);
 }
 
-/// Sequential order-preserving in-place compaction.
-fn retain_in_place<T: Copy>(items: &mut Vec<T>, keep: impl Fn(&T) -> bool) {
+/// Sequential order-preserving in-place compaction of a slice: moves the
+/// items satisfying `keep` to its front and returns their count.
+fn compact_slice<T: Copy>(items: &mut [T], keep: impl Fn(&T) -> bool) -> usize {
     let mut w = 0;
     for r in 0..items.len() {
         let x = items[r];
@@ -246,7 +231,7 @@ fn retain_in_place<T: Copy>(items: &mut Vec<T>, keep: impl Fn(&T) -> bool) {
             w += 1;
         }
     }
-    items.truncate(w);
+    w
 }
 
 /// Compact with transformation: map each kept item. Charges `(n, log* n)`.
@@ -512,15 +497,46 @@ mod tests {
     }
 
     #[test]
-    fn retain_edges_with_reuses_arena() {
-        let mut arena = SolverArena::new();
-        for round in 0..3u32 {
-            let mut edges: Vec<Edge> = (0..20_000u32)
-                .map(|i| Edge::new(i % 997, (i + round) % 991))
-                .collect();
-            let expect: Vec<Edge> = edges.iter().copied().filter(|e| !e.is_loop()).collect();
-            retain_edges_with(&mut edges, |e| !e.is_loop(), &mut arena, &t());
-            assert_eq!(edges, expect);
+    fn retain_matches_vec_retain_with_one_keep_per_item_at_any_thread_count() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let s = Stream::new(17, 3);
+        for case in 0..16u64 {
+            // Lengths above the sequential cutoff; keep rates from none to
+            // all, so empty and full chunks both occur.
+            let len = SEQ_SCATTER + 1 + s.below(2 * case, 50_000) as usize;
+            let keep_pct = match case {
+                0 => 0,
+                1 => 100,
+                _ => s.below(2 * case + 1, 101),
+            };
+            let items: Vec<u64> = (0..len as u64).map(|i| s.hash(case << 32 | i)).collect();
+            let keep = |x: &u64| x % 100 < keep_pct;
+            let mut expect = items.clone();
+            expect.retain(keep);
+            for k in [1, 2, 8] {
+                let calls = AtomicUsize::new(0);
+                let mut got = items.clone();
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(k)
+                    .build()
+                    .expect("pool");
+                pool.install(|| {
+                    retain(
+                        &mut got,
+                        |x| {
+                            calls.fetch_add(1, Ordering::Relaxed);
+                            keep(x)
+                        },
+                        &t(),
+                    );
+                });
+                assert_eq!(got, expect, "case {case} (len {len}) at {k} threads");
+                assert_eq!(
+                    calls.into_inner(),
+                    len,
+                    "keep calls, case {case} at {k} threads"
+                );
+            }
         }
     }
 

@@ -16,8 +16,8 @@ use parcc::pram::arena::SolverArena;
 use parcc::pram::cost::CostTracker;
 use parcc::pram::edge::Edge;
 use parcc::pram::forest::ParentForest;
-use parcc::pram::ops::alter_edges_with;
-use parcc::pram::primitives::{retain_edges_with, simplify_edges_with};
+use parcc::pram::ops::alter_edges;
+use parcc::pram::primitives::{retain, simplify_edges_with};
 use parcc::pram::rng::Stream;
 use parcc::pram::run_single_threaded;
 
@@ -95,8 +95,8 @@ fn warm_arena_primitives_are_allocation_free() {
             arena.give_edges(out);
             let mut work = arena.take_edges();
             work.extend_from_slice(&edges);
-            alter_edges_with(&forest, &mut work, true, &mut arena, &tracker);
-            retain_edges_with(&mut work, |e| e.0 % 3 != 0, &mut arena, &tracker);
+            alter_edges(&forest, &mut work, true, &tracker);
+            retain(&mut work, |e| e.0 % 3 != 0, &tracker);
             arena.give_edges(work);
         }
         // Measured repeat of the exact same phase-retry shape.
@@ -105,8 +105,8 @@ fn warm_arena_primitives_are_allocation_free() {
         arena.give_edges(out);
         let mut work = arena.take_edges();
         work.extend_from_slice(&edges);
-        alter_edges_with(&forest, &mut work, true, &mut arena, &tracker);
-        retain_edges_with(&mut work, |e| e.0 % 3 != 0, &mut arena, &tracker);
+        alter_edges(&forest, &mut work, true, &tracker);
+        retain(&mut work, |e| e.0 % 3 != 0, &tracker);
         arena.give_edges(work);
         let delta = alloc_track::allocation_count() - allocs_before;
         assert_eq!(
@@ -201,12 +201,12 @@ fn parallel_hot_paths_never_allocate_proportionally_to_m() {
             .collect();
         // Warm for this size, then measure.
         let mut work = edges.clone();
-        retain_edges_with(&mut work, |e| !e.is_loop(), arena, &tracker);
+        retain(&mut work, |e| !e.is_loop(), &tracker);
         arena.give_edges(work);
         let mut work = arena.take_edges();
         work.extend_from_slice(&edges);
         let a0 = alloc_track::allocation_count();
-        retain_edges_with(&mut work, |e| !e.is_loop(), arena, &tracker);
+        retain(&mut work, |e| !e.is_loop(), &tracker);
         let delta = alloc_track::allocation_count() - a0;
         arena.give_edges(work);
         delta
