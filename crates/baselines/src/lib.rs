@@ -12,7 +12,7 @@
 //! | [`shiloach_vishkin`](fn@shiloach_vishkin) | `O(log n)` | `O(m log n)` | the classic CRCW algorithm `[SV82]` |
 //! | [`label_propagation`](fn@label_propagation) | `O(d)` | `O(m·d)` | HashMin / naive frontier-free propagation |
 //! | [`random_mate`](fn@random_mate) | `O(log n)` w.h.p. | `O((m+n) log n)` | Reif's coin-flip contraction `[Rei84]` |
-//! | [`liu_tarjan`](fn@liu_tarjan) | `O(log² n)` | `O(m log n)` | the simple concurrent framework `[LT19]` shipped by practical libraries |
+//! | [`liu_tarjan`](fn@liu_tarjan) | `O(log² n)` | `O(m log n)` | the simple concurrent framework `[LT19]` shipped by practical libraries (P+SS) |
 //!
 //! All parallel baselines run on the same [`parcc_pram`] substrate (labeled
 //! digraph + cost tracker) as the paper's algorithm, so measured depth/work
@@ -26,7 +26,7 @@ pub mod solver;
 pub mod union_find;
 
 pub use label_prop::{label_propagation, HashMinSweep};
-pub use liu_tarjan::{liu_tarjan, LtVariant};
+pub use liu_tarjan::liu_tarjan;
 pub use random_mate::random_mate;
 pub use shiloach_vishkin::shiloach_vishkin;
 pub use solver::{

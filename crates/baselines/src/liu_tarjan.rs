@@ -2,11 +2,14 @@
 //! cited by the paper as the source of SHORTCUT and the labeled-digraph
 //! discipline): rounds of CONNECT + SHORTCUT over min-labels.
 //!
-//! These are the algorithms practical parallel graph libraries actually ship
-//! (GBBS and friends), so they complete the E12 comparison between the
-//! theory-optimal pipeline and deployed practice. All variants maintain the
-//! invariant that parent labels only decrease, so the digraph is acyclic for
-//! any CRCW resolution and every variant is unconditionally correct.
+//! This is the algorithm practical parallel graph libraries actually ship
+//! (GBBS and friends), so it completes the E12 comparison between the
+//! theory-optimal pipeline and deployed practice. Of the framework's
+//! variants only parent-connect with two shortcuts per round (P+SS) is
+//! kept: it had equal or fewer rounds, work and depth than P+S, E+S and
+//! E+SS on every graph measured. Parent labels only decrease, so the
+//! digraph is acyclic for any CRCW resolution and the algorithm is
+//! unconditionally correct.
 
 use parcc_graph::repr::Graph;
 use parcc_pram::cost::CostTracker;
@@ -17,61 +20,10 @@ use rayon::prelude::*;
 
 use crate::BaselineStats;
 
-/// Which CONNECT and SHORTCUT steps a round performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LtVariant {
-    /// Parent-connect (`p(u) ← min p(v)`), one shortcut per round.
-    ParentShortcut,
-    /// Parent-connect, two shortcuts per round.
-    ParentDoubleShortcut,
-    /// Extended-connect (updates both `u` and `p(u)`), one shortcut.
-    ExtendedShortcut,
-    /// Extended-connect, two shortcuts — the strongest simple variant.
-    ExtendedDoubleShortcut,
-}
-
-impl LtVariant {
-    /// All variants, table order.
-    pub const ALL: [LtVariant; 4] = [
-        LtVariant::ParentShortcut,
-        LtVariant::ParentDoubleShortcut,
-        LtVariant::ExtendedShortcut,
-        LtVariant::ExtendedDoubleShortcut,
-    ];
-
-    /// Display name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            LtVariant::ParentShortcut => "P+S",
-            LtVariant::ParentDoubleShortcut => "P+SS",
-            LtVariant::ExtendedShortcut => "E+S",
-            LtVariant::ExtendedDoubleShortcut => "E+SS",
-        }
-    }
-
-    fn extended(self) -> bool {
-        matches!(
-            self,
-            LtVariant::ExtendedShortcut | LtVariant::ExtendedDoubleShortcut
-        )
-    }
-
-    fn shortcuts(self) -> u32 {
-        match self {
-            LtVariant::ParentShortcut | LtVariant::ExtendedShortcut => 1,
-            _ => 2,
-        }
-    }
-}
-
-/// Component labels via the chosen Liu–Tarjan variant, plus round telemetry.
+/// Component labels via Liu–Tarjan P+SS (parent-connect, two shortcuts
+/// per round), plus round telemetry.
 #[must_use]
-pub fn liu_tarjan(
-    g: &Graph,
-    variant: LtVariant,
-    tracker: &CostTracker,
-) -> (Vec<Vertex>, BaselineStats) {
+pub fn liu_tarjan(g: &Graph, tracker: &CostTracker) -> (Vec<Vertex>, BaselineStats) {
     let n = g.n();
     let forest = ParentForest::new(n);
     let edges = g.edges();
@@ -87,11 +39,7 @@ pub fn liu_tarjan(
         tracker.charge(edges.len() as u64 * 2, 1);
         edges.par_iter().for_each(|e| {
             for (x, y) in [(e.u(), e.v()), (e.v(), e.u())] {
-                let py = snap[y as usize];
-                offers.offer(snap[x as usize] as usize, py);
-                if variant.extended() {
-                    offers.offer(x as usize, py);
-                }
+                offers.offer(snap[x as usize] as usize, snap[y as usize]);
             }
         });
         tracker.charge(n as u64, 1);
@@ -101,10 +49,9 @@ pub fn liu_tarjan(
             }
         });
 
-        // SHORTCUT once or twice.
-        for _ in 0..variant.shortcuts() {
-            forest.shortcut_all(tracker);
-        }
+        // SHORTCUT twice.
+        forest.shortcut_all(tracker);
+        forest.shortcut_all(tracker);
 
         // Fixpoint: parents stopped moving.
         let changed = forest
@@ -131,13 +78,12 @@ mod tests {
     use parcc_graph::generators as gen;
     use parcc_graph::traverse::{components, same_partition};
 
-    fn check(g: &Graph, v: LtVariant) -> BaselineStats {
+    fn check(g: &Graph) -> BaselineStats {
         let tracker = CostTracker::new();
-        let (labels, stats) = liu_tarjan(g, v, &tracker);
+        let (labels, stats) = liu_tarjan(g, &tracker);
         assert!(
             same_partition(&labels, &components(g)),
-            "{} wrong on n={} m={}",
-            v.name(),
+            "wrong on n={} m={}",
             g.n(),
             g.m()
         );
@@ -145,54 +91,29 @@ mod tests {
     }
 
     #[test]
-    fn all_variants_correct_on_families() {
-        for v in LtVariant::ALL {
-            for g in [
-                gen::path(300),
-                gen::cycle(128),
-                gen::complete(30),
-                gen::gnp(400, 0.02, 3),
-                gen::mixture(5),
-                Graph::from_pairs(4, &[(0, 0), (1, 2), (2, 1)]),
-            ] {
-                check(&g, v);
-            }
+    fn correct_on_families() {
+        for g in [
+            gen::path(300),
+            gen::cycle(128),
+            gen::complete(30),
+            gen::gnp(400, 0.02, 3),
+            gen::mixture(5),
+            Graph::from_pairs(4, &[(0, 0), (1, 2), (2, 1)]),
+        ] {
+            check(&g);
         }
     }
 
     #[test]
-    fn double_shortcut_no_slower_than_single() {
-        let g = gen::path(4096);
-        let s1 = check(&g, LtVariant::ParentShortcut);
-        let s2 = check(&g, LtVariant::ParentDoubleShortcut);
-        assert!(
-            s2.rounds <= s1.rounds,
-            "double shortcut should not lose: {} vs {}",
-            s2.rounds,
-            s1.rounds
-        );
-    }
-
-    #[test]
-    fn extended_connect_no_slower_than_parent() {
-        let g = gen::cycle(2048);
-        let sp = check(&g, LtVariant::ParentShortcut);
-        let se = check(&g, LtVariant::ExtendedShortcut);
-        assert!(se.rounds <= sp.rounds, "{} vs {}", se.rounds, sp.rounds);
-    }
-
-    #[test]
     fn rounds_are_logarithmic_on_paths() {
-        let s = check(&gen::path(1 << 13), LtVariant::ExtendedDoubleShortcut);
+        let s = check(&gen::path(1 << 13));
         assert!(s.rounds <= 30, "rounds={}", s.rounds);
         assert!(s.rounds >= 3, "rounds={}", s.rounds);
     }
 
     #[test]
     fn empty_inputs() {
-        for v in LtVariant::ALL {
-            check(&Graph::new(0, vec![]), v);
-            check(&Graph::new(5, vec![]), v);
-        }
+        check(&Graph::new(0, vec![]));
+        check(&Graph::new(5, vec![]));
     }
 }

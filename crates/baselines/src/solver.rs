@@ -2,7 +2,7 @@
 //! conformance tests, and bench harness can drive them through the
 //! registry interchangeably with the paper's algorithm.
 
-use crate::{label_propagation, liu_tarjan, random_mate, shiloach_vishkin, union_find, LtVariant};
+use crate::{label_propagation, liu_tarjan, random_mate, shiloach_vishkin, union_find};
 use parcc_graph::solver::{ComponentSolver, SolveCtx, SolveReport, SolverCaps};
 use parcc_graph::Graph;
 
@@ -111,42 +111,15 @@ impl ComponentSolver for RandomMateSolver {
     }
 }
 
-/// One Liu–Tarjan (`[LT19]`) variant behind the common interface.
-pub struct LiuTarjanSolver(pub LtVariant);
-
-impl LiuTarjanSolver {
-    /// Parent-connect + shortcut.
-    pub const PS: LiuTarjanSolver = LiuTarjanSolver(LtVariant::ParentShortcut);
-    /// Parent-connect + double shortcut.
-    pub const PSS: LiuTarjanSolver = LiuTarjanSolver(LtVariant::ParentDoubleShortcut);
-    /// Extended-connect + shortcut.
-    pub const ES: LiuTarjanSolver = LiuTarjanSolver(LtVariant::ExtendedShortcut);
-    /// Extended-connect + double shortcut — the strongest simple variant.
-    pub const ESS: LiuTarjanSolver = LiuTarjanSolver(LtVariant::ExtendedDoubleShortcut);
-}
+/// Liu–Tarjan P+SS (`[LT19]`): parent-connect, two shortcuts per round.
+pub struct LiuTarjanSolver;
 
 impl ComponentSolver for LiuTarjanSolver {
     fn name(&self) -> &'static str {
-        match self.0 {
-            LtVariant::ParentShortcut => "liu-tarjan-ps",
-            LtVariant::ParentDoubleShortcut => "liu-tarjan-pss",
-            LtVariant::ExtendedShortcut => "liu-tarjan-es",
-            LtVariant::ExtendedDoubleShortcut => "liu-tarjan-ess",
-        }
+        "liu-tarjan-pss"
     }
     fn description(&self) -> &'static str {
-        match self.0 {
-            LtVariant::ParentShortcut => "Liu-Tarjan P+S [LT19]: O(log² n) rounds, O(m log n) work",
-            LtVariant::ParentDoubleShortcut => {
-                "Liu-Tarjan P+SS [LT19]: O(log² n) rounds, O(m log n) work"
-            }
-            LtVariant::ExtendedShortcut => {
-                "Liu-Tarjan E+S [LT19]: O(log² n) rounds, O(m log n) work"
-            }
-            LtVariant::ExtendedDoubleShortcut => {
-                "Liu-Tarjan E+SS [LT19]: the practical simple framework (GBBS and friends)"
-            }
-        }
+        "Liu-Tarjan P+SS [LT19]: O(log² n) rounds, O(m log n) work"
     }
     fn caps(&self) -> SolverCaps {
         SolverCaps {
@@ -161,10 +134,9 @@ impl ComponentSolver for LiuTarjanSolver {
     }
     fn solve(&self, g: &Graph, ctx: &SolveCtx) -> SolveReport {
         SolveReport::measure(ctx, |tracker| {
-            let (labels, stats) = liu_tarjan(g, self.0, tracker);
+            let (labels, stats) = liu_tarjan(g, tracker);
             (labels, Some(stats.rounds))
         })
-        .note("variant", self.0.name())
     }
 }
 
@@ -183,7 +155,7 @@ mod tests {
             &ShiloachVishkinSolver,
             &LabelPropSolver,
             &RandomMateSolver,
-            &LiuTarjanSolver::ESS,
+            &LiuTarjanSolver,
         ];
         for s in solvers {
             let ctx = SolveCtx::with_seed(7);
@@ -207,16 +179,9 @@ mod tests {
     #[test]
     fn labels_are_canonical() {
         let g = gen::expander_union(2, 80, 4, 9);
-        for s in [
-            &LiuTarjanSolver::PS,
-            &LiuTarjanSolver::PSS,
-            &LiuTarjanSolver::ES,
-            &LiuTarjanSolver::ESS,
-        ] {
-            let r = s.solve(&g, &SolveCtx::new());
-            for &l in &r.labels {
-                assert_eq!(r.labels[l as usize], l, "{}: non-canonical", s.name());
-            }
+        let r = LiuTarjanSolver.solve(&g, &SolveCtx::new());
+        for &l in &r.labels {
+            assert_eq!(r.labels[l as usize], l, "non-canonical");
         }
     }
 }

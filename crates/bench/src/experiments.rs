@@ -964,10 +964,10 @@ pub fn e18_store(quick: bool) -> Table {
 /// (diameter Θ(side), so pure HashMin needs Θ(side) rounds); a low-diameter
 /// powerlaw graph is the paper pipeline's overkill case (label-prop
 /// converges in a handful of sweeps at a fraction of the simulated work).
-/// The hybrid must bound rounds on the mesh by switching to the paper
-/// kernel, and undercut the paper's work on the powerlaw input by
-/// converging inside its sweep phase. The phases column shows where each
-/// hybrid run spent its rounds.
+/// The hybrid must bound rounds on the mesh by switching to its
+/// Shiloach–Vishkin kernel, and undercut the paper's work on the powerlaw
+/// input by converging inside its sweep phase. The phases column shows
+/// where each hybrid run spent its rounds.
 #[must_use]
 pub fn e19_adaptive(quick: bool) -> Table {
     let mut t = Table::new(

@@ -9,7 +9,7 @@
 //! per round:
 //!
 //! * the **frontier** (vertices whose label changed): zero means the
-//!   fixpoint, labels are per-component minima, done — no delegation;
+//!   fixpoint, labels are per-component minima, done — no kernel;
 //! * the **live-component count** ([`count_distinct_labels`], an
 //!   arena-pooled bitset scan): its per-round shrink is the contraction
 //!   rate.
@@ -20,39 +20,43 @@
 //! relabel every edge by its endpoints' sweep labels, drop loops, simplify
 //! through a [`SolverArena`] (`simplify_edges_into`, zero steady-state
 //! allocations per the PR 5 contract), renumber the surviving labels
-//! densely, and hand the kernel graph to the policy's delegate (`paper` by
-//! default, `ltz` selectable). Kernel labels map back through the
-//! contraction; canonicality survives because sweep labels sit in the same
-//! component as the vertices they label.
+//! densely, and solve the kernel graph with Shiloach–Vishkin. Kernel labels
+//! map back through the contraction; canonicality survives because sweep
+//! labels sit in the same component as the vertices they label.
+//!
+//! Why SV and not the paper's pipeline: the paper's linear-work guarantee
+//! does not make it fast on the contracted remainder, and on a mesh that
+//! remainder is nearly the whole graph. Measured with each candidate
+//! kernel (`paper`, `ltz`, SV, Liu–Tarjan P+SS), SV gave the fastest
+//! `hybrid` on the mesh by a wide margin, and all four were within noise
+//! on powerlaw, gnp and expander inputs (the table is in ROADMAP.md). SV
+//! is also deterministic, so `hybrid`'s labels and simulated cost depend
+//! on neither the seed nor the thread count.
 //!
 //! Why the rounds stay bounded: continuing to sweep *requires* the live
 //! count to shrink geometrically (factor `1 − switch_shrink` per round),
 //! so the sweep phase runs `O(log n)` rounds on any input before the rate
-//! gate fires — `max_sweeps` is a belt on top of that — and the delegate
-//! is polylog. On a `side × side` mesh the rate gate fires after a small
-//! *side-independent* number of sweeps (live count falls as `n/t²`, so the
-//! per-round shrink decays like `1/t`), which is exactly the workload
-//! where pure label-prop pays `Θ(side)` rounds. On a low-diameter
-//! powerlaw graph the frontier hits zero in `d + 1` sweeps and the paper
-//! pipeline's staging never runs at all.
+//! gate fires — `max_sweeps` is a belt on top of that — and SV takes
+//! `O(log n)` rounds on the kernel. On a `side × side` mesh the rate gate
+//! fires after a small *side-independent* number of sweeps (live count
+//! falls as `n/t²`, so the per-round shrink decays like `1/t`), which is
+//! exactly the workload where pure label-prop pays `Θ(side)` rounds. On a
+//! low-diameter powerlaw graph the frontier hits zero in `d + 1` sweeps
+//! and the kernel never runs at all.
 //!
 //! Every phase lands in [`SolveReport::phases`] (rounds, live edges, wall,
 //! allocs), so `parcc stats`, `compare --json`, and E19 show *when* the
 //! switch happened and what it cost — the signal `parcc tune` refits the
 //! [`Policy`] from.
 
-use crate::policy::{self, Delegate, Policy};
-use parcc_baselines::HashMinSweep;
-use parcc_core::full::connectivity_sharded;
-use parcc_core::Params;
+use crate::policy::{self, Policy};
+use parcc_baselines::{shiloach_vishkin, HashMinSweep};
 use parcc_graph::solver::{ComponentSolver, PhaseStat, SolveCtx, SolveReport, SolverCaps};
 use parcc_graph::store::{concat_edges, GraphStore};
 use parcc_graph::Graph;
-use parcc_ltz::{ltz_connectivity, LtzParams};
 use parcc_pram::alloc_track;
 use parcc_pram::cost::CostTracker;
 use parcc_pram::edge::{Edge, Vertex};
-use parcc_pram::forest::ParentForest;
 use parcc_pram::primitives::{compact_map_into, count_distinct_labels, simplify_edges_into};
 use parcc_pram::SolverArena;
 use rayon::prelude::*;
@@ -61,7 +65,7 @@ use std::time::Instant;
 /// Why the sweep phase ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Switch {
-    /// Frontier hit zero: sweep labels are the answer, no delegation.
+    /// Frontier hit zero: sweep labels are the answer, no kernel.
     Converged,
     /// Live-component shrink fell below `switch_shrink`.
     Rate,
@@ -88,7 +92,6 @@ struct Trace {
     last_shrink: f64,
     kernel_n: usize,
     kernel_m: usize,
-    delegate: &'static str,
 }
 
 /// Sweep until the contraction rate stalls; report how it ended and the
@@ -194,42 +197,26 @@ fn contract_phase(
     (kernel, map, reps)
 }
 
-/// Solve the kernel with the policy delegate; returns kernel labels and the
-/// delegate's round count. Charges straight into `hybrid`'s own tracker so
-/// the reported cost is the whole run's.
+/// Solve the kernel with Shiloach–Vishkin; returns kernel labels and its
+/// round count. Charges straight into `hybrid`'s own tracker so the
+/// reported cost is the whole run's.
 fn kernel_phase(
     k: usize,
     kernel: Vec<Edge>,
-    delegate: Delegate,
-    seed: u64,
     tracker: &CostTracker,
     trace: &mut Trace,
 ) -> (Vec<Vertex>, u64) {
     let (t0, a0) = (Instant::now(), alloc_track::allocation_count());
     let kernel_m = kernel.len() as u64;
-    trace.delegate = delegate.name();
-    let (klabels, rounds) = match delegate {
-        Delegate::Paper => {
-            let params = Params::for_n(k).with_seed(seed);
-            let (labels, stats) = connectivity_sharded(k, &[kernel.as_slice()], &params, tracker);
-            (labels, stats.phases.len() as u64)
-        }
-        Delegate::Ltz => {
-            let forest = ParentForest::new(k);
-            let params = LtzParams::for_n(k).with_seed(seed);
-            let stats = ltz_connectivity(kernel, &forest, params, tracker);
-            forest.flatten(tracker);
-            (forest.labels(tracker), stats.rounds)
-        }
-    };
+    let (klabels, stats) = shiloach_vishkin(&Graph::new(k, kernel), tracker);
     trace.phases.push(PhaseStat {
         name: "kernel",
-        rounds,
+        rounds: stats.rounds,
         edges: kernel_m,
         wall: t0.elapsed(),
         allocs: alloc_track::allocation_count().saturating_sub(a0),
     });
-    (klabels, rounds)
+    (klabels, stats.rounds)
 }
 
 /// The full adaptive run against an explicit [`Policy`] — the seam the
@@ -240,14 +227,12 @@ pub fn solve_with_policy(n: usize, edges: &[Edge], ctx: &SolveCtx, pol: &Policy)
     let report = SolveReport::measure(ctx, |tracker| {
         if n == 0 {
             trace.switch_reason = "empty";
-            trace.delegate = "none";
             return (Vec::new(), Some(0));
         }
         if edges.is_empty() {
             // Edgeless: every vertex its own (canonical) component.
             tracker.charge(n as u64, 1);
             trace.switch_reason = "no-edges";
-            trace.delegate = "none";
             return ((0..n as Vertex).collect(), Some(0));
         }
         let mut arena = SolverArena::new();
@@ -255,19 +240,11 @@ pub fn solve_with_policy(n: usize, edges: &[Edge], ctx: &SolveCtx, pol: &Policy)
         let outcome = sweep_phase(&mut sweep, edges, &mut arena, pol, tracker, &mut trace);
         if outcome == Switch::Converged {
             // Fixpoint labels are per-component minima: already canonical.
-            trace.delegate = "none";
             return (sweep.into_labels(), Some(trace.sweeps));
         }
         let labels = sweep.into_labels();
         let (kernel, map, reps) = contract_phase(&labels, edges, &mut arena, tracker, &mut trace);
-        let (klabels, krounds) = kernel_phase(
-            reps.len(),
-            kernel,
-            pol.delegate,
-            ctx.seed,
-            tracker,
-            &mut trace,
-        );
+        let (klabels, krounds) = kernel_phase(reps.len(), kernel, tracker, &mut trace);
         // Map back: v → its label's kernel component's representative
         // vertex. Canonical because every kernel node lies in the original
         // component of the vertices it absorbed.
@@ -282,7 +259,6 @@ pub fn solve_with_policy(n: usize, edges: &[Edge], ctx: &SolveCtx, pol: &Policy)
         .note("switch", trace.switch_reason)
         .note("sweeps", trace.sweeps)
         .note("last_shrink", format!("{:.3}", trace.last_shrink))
-        .note("delegate", trace.delegate)
         .note("kernel_n", trace.kernel_n)
         .note("kernel_m", trace.kernel_m)
         .with_phases(trace.phases)
@@ -296,17 +272,20 @@ impl ComponentSolver for HybridSolver {
         "hybrid"
     }
     fn description(&self) -> &'static str {
-        "adaptive: HashMin sweeps while contraction is fast, then contract + delegate (policy-tuned)"
+        "adaptive: HashMin sweeps while contraction is fast, then contract + SV kernel (policy-tuned)"
     }
     fn caps(&self) -> SolverCaps {
         SolverCaps {
-            deterministic: false,
-            seeded: true,
+            // The sweeps and the SV kernel resolve concurrent writes by
+            // priority and the contraction is a sort-and-dedup, so labels
+            // and simulated cost depend only on the input.
+            deterministic: true,
+            seeded: false,
             parallel: true,
             // Continuing to sweep requires geometric live-count decay, so
             // the sweep phase is O(log n) rounds under any policy with
-            // switch_shrink > 0 (and max_sweeps-capped regardless); the
-            // kernel delegates are polylog.
+            // switch_shrink > 0 (and max_sweeps-capped regardless); the SV
+            // kernel is O(log n) rounds.
             polylog_rounds: true,
             tracks_cost: true,
         }
@@ -352,11 +331,10 @@ mod tests {
     }
 
     #[test]
-    fn all_fast_contracting_converges_without_delegation() {
+    fn all_fast_contracting_converges_without_a_kernel() {
         // Tiny diameter: the frontier dies before the rate gate can fire.
         let r = check(&gen::complete(64), &Policy::default());
         assert_eq!(note(&r, "switch"), "converged");
-        assert_eq!(note(&r, "delegate"), "none");
         assert_eq!(r.phases.len(), 1, "sweep phase only");
         assert_eq!(r.phases[0].name, "sweep");
     }
@@ -372,7 +350,6 @@ mod tests {
         let r = check(&gen::path(400), &pol);
         assert_eq!(note(&r, "switch"), "rate");
         assert_eq!(note(&r, "sweeps"), pol.min_sweeps.to_string());
-        assert_eq!(note(&r, "delegate"), "paper");
         let names: Vec<_> = r.phases.iter().map(|p| p.name).collect();
         assert_eq!(names, vec!["sweep", "contract", "kernel"]);
     }
@@ -420,18 +397,6 @@ mod tests {
         assert_eq!(r.labels, vec![0]);
         let r = check(&Graph::new(5, vec![]), &pol);
         assert_eq!(r.component_count(), 5);
-    }
-
-    #[test]
-    fn ltz_delegate_is_selectable_and_correct() {
-        let pol = Policy {
-            delegate: Delegate::Ltz,
-            switch_shrink: 0.9, // force an early switch so the kernel runs
-            ..Policy::default()
-        };
-        let r = check(&gen::grid2d(20, 20, false), &pol);
-        assert_eq!(note(&r, "delegate"), "ltz");
-        assert_eq!(r.phases.last().unwrap().name, "kernel");
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! | `shiloach-vishkin` | `[SV82]` | `O(m log n)` | `O(log n)` |
 //! | `label-prop` | HashMin propagation | `O(m·d)` | `O(d)` |
 //! | `random-mate` | Reif `[Rei84]` | `O((m+n) log n)` | `O(log n)` w.h.p. |
-//! | `liu-tarjan-{ps,pss,es,ess}` | `[LT19]` variants | `O(m log n)` | `O(log² n)` |
-//! | `hybrid` | adaptive sweep→contract→delegate ([`hybrid::HybridSolver`]) | `O(m·sweeps) + delegate's` | `O(log n) + delegate's` |
+//! | `liu-tarjan-pss` | `[LT19]` parent-connect, two shortcuts | `O(m log n)` | `O(log² n)` |
+//! | `hybrid` | adaptive sweep→contract→SV kernel ([`hybrid::HybridSolver`]) | `O(m·sweeps)` + SV's on the kernel | `O(log n)` |
 //!
 //! The adaptive entry (`hybrid`) reads its thresholds from the refittable
 //! [`policy`] module (`--policy FILE` / `PARCC_POLICY`, emitted by
@@ -68,7 +68,7 @@ pub use serve::{PublishStats, ServeEngine, ServeState};
 /// Every registered solver, in presentation order (the paper's pipelines
 /// first, then the substrate, then the classical baselines, then the
 /// adaptive solver).
-static REGISTRY: [&dyn ComponentSolver; 12] = [
+static REGISTRY: [&dyn ComponentSolver; 9] = [
     &PaperSolver,
     &KnownGapSolver,
     &LtzSolver,
@@ -76,10 +76,7 @@ static REGISTRY: [&dyn ComponentSolver; 12] = [
     &ShiloachVishkinSolver,
     &LabelPropSolver,
     &RandomMateSolver,
-    &LiuTarjanSolver::PS,
-    &LiuTarjanSolver::PSS,
-    &LiuTarjanSolver::ES,
-    &LiuTarjanSolver::ESS,
+    &LiuTarjanSolver,
     &HybridSolver,
 ];
 

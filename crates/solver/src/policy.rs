@@ -1,8 +1,8 @@
 //! The refittable dispatch policy: every adaptive-execution constant in one
 //! loadable, refittable place (ROADMAP "autotuning v2").
 //!
-//! Seven keys: `hybrid`'s contraction-rate phase switch (`switch_shrink`,
-//! `min_sweeps`, `max_sweeps`, `delegate`) and the radix sort's tuning
+//! Six keys: `hybrid`'s contraction-rate phase switch (`switch_shrink`,
+//! `min_sweeps`, `max_sweeps`) and the radix sort's tuning
 //! (`sort_digit_bits`, `sort_min_chunk`, `sort_wc`). A [`Policy`] value
 //! has three sources, in precedence order:
 //!
@@ -25,40 +25,18 @@
 
 use std::sync::{OnceLock, RwLock};
 
-/// Which kernel solver `hybrid` hands the contracted remainder to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delegate {
-    /// The paper pipeline (Theorem 1) — the safe linear-work default.
-    Paper,
-    /// The LTZ bounded-round engine (Theorem 2).
-    Ltz,
-}
-
-impl Delegate {
-    /// Registry name of the delegate.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Delegate::Paper => "paper",
-            Delegate::Ltz => "ltz",
-        }
-    }
-}
-
 /// Every tunable `hybrid` and the radix sort consult. `Copy` so the active policy
 /// can be read once per solve without locking games.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Policy {
     /// `hybrid`: keep sweeping while the live-component count shrinks by at
-    /// least this fraction per round; below it, contract and delegate.
+    /// least this fraction per round; below it, contract and solve the kernel.
     pub switch_shrink: f64,
     /// `hybrid`: sweeps always granted before the shrink gate applies (the
     /// first round's shrink is huge and uninformative on most inputs).
     pub min_sweeps: u64,
     /// `hybrid`: hard sweep cap — switch regardless of the observed rate.
     pub max_sweeps: u64,
-    /// `hybrid`: kernel delegate for the contracted remainder.
-    pub delegate: Delegate,
     /// Radix sort: digit-width cap in bits (`8..=16`); installed into
     /// `parcc_pram::sort` when the policy activates.
     pub sort_digit_bits: u32,
@@ -76,7 +54,6 @@ impl Default for Policy {
             switch_shrink: 0.25,
             min_sweeps: 2,
             max_sweeps: 64,
-            delegate: Delegate::Paper,
             sort_digit_bits: defaults_sort().max_digit_bits,
             sort_min_chunk: defaults_sort().min_chunk as u64,
             sort_wc: defaults_sort().write_combine,
@@ -110,13 +87,6 @@ impl Policy {
                 }
                 "min_sweeps" => p.min_sweeps = value.parse().map_err(|_| bad("count"))?,
                 "max_sweeps" => p.max_sweeps = value.parse().map_err(|_| bad("count"))?,
-                "delegate" => {
-                    p.delegate = match value {
-                        "paper" => Delegate::Paper,
-                        "ltz" => Delegate::Ltz,
-                        _ => return Err(bad("delegate (paper|ltz)")),
-                    }
-                }
                 "sort_digit_bits" => {
                     p.sort_digit_bits = value.parse().map_err(|_| bad("bits"))?;
                 }
@@ -170,14 +140,12 @@ impl Policy {
     pub fn to_file_string(&self) -> String {
         format!(
             "# parcc dispatch policy (load with --policy FILE or PARCC_POLICY)\n\
-             delegate = {}\n\
              max_sweeps = {}\n\
              min_sweeps = {}\n\
              sort_digit_bits = {}\n\
              sort_min_chunk = {}\n\
              sort_wc = {}\n\
              switch_shrink = {}\n",
-            self.delegate.name(),
             self.max_sweeps,
             self.min_sweeps,
             self.sort_digit_bits,
@@ -286,12 +254,8 @@ mod tests {
 
     #[test]
     fn parse_overrides_and_comments() {
-        let p = Policy::parse(
-            "# tuned\nswitch_shrink = 0.4  # comment\ndelegate = ltz\nmax_sweeps = 9\n",
-        )
-        .unwrap();
+        let p = Policy::parse("# tuned\nswitch_shrink = 0.4  # comment\nmax_sweeps = 9\n").unwrap();
         assert_eq!(p.switch_shrink, 0.4);
-        assert_eq!(p.delegate, Delegate::Ltz);
         assert_eq!(p.max_sweeps, 9);
         assert_eq!(p.min_sweeps, Policy::default().min_sweeps);
     }
@@ -300,7 +264,6 @@ mod tests {
     fn parse_rejects_unknown_keys_and_bad_values() {
         assert!(Policy::parse("swich_shrink = 0.4\n").is_err());
         assert!(Policy::parse("switch_shrink = fast\n").is_err());
-        assert!(Policy::parse("delegate = union-find\n").is_err());
         assert!(Policy::parse("switch_shrink = 1.5\n").is_err());
         assert!(Policy::parse("min_sweeps = 0\n").is_err());
         assert!(Policy::parse("just words\n").is_err());
@@ -310,6 +273,7 @@ mod tests {
         // A stale tuned file carrying a retired key fails loudly rather
         // than being silently half-applied.
         assert!(Policy::parse("dense_avg_deg = 4\n").is_err());
+        assert!(Policy::parse("delegate = paper\n").is_err());
     }
 
     #[test]

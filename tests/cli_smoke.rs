@@ -481,7 +481,7 @@ fn convert_roundtrip_and_binary_inputs() {
         .unwrap();
     assert_eq!(reported, truth.len(), "binary stats component count");
 
-    // compare --json off the mapped store: all 12 solvers, all verified —
+    // compare --json off the mapped store: all 9 solvers, all verified —
     // the acceptance gate, at 1 and 4 threads.
     for threads in ["1", "4"] {
         let out = parcc_bin()
@@ -800,7 +800,7 @@ fn tune_emits_a_policy_that_loads_back() {
         .unwrap();
     assert!(out.status.success(), "tune failed: {out:?}");
     let text = std::fs::read_to_string(&policy).unwrap();
-    for key in ["switch_shrink", "max_sweeps", "delegate"] {
+    for key in ["switch_shrink", "max_sweeps"] {
         assert!(text.contains(key), "policy missing {key}: {text}");
     }
     // Without --out the policy goes to stdout instead.

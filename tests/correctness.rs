@@ -149,7 +149,6 @@ fn degenerate_inputs_core() {
 
 #[test]
 fn degenerate_inputs_baselines() {
-    use parcc::baselines::LtVariant;
     for (name, g) in degenerate_zoo() {
         let truth = components(&g);
         assert!(
@@ -162,13 +161,8 @@ fn degenerate_inputs_baselines() {
         assert!(same_partition(&lp, &truth), "label-prop wrong on {name}");
         let (rm, _) = baselines::random_mate(&g, 11, &CostTracker::new());
         assert!(same_partition(&rm, &truth), "random-mate wrong on {name}");
-        for variant in LtVariant::ALL {
-            let (lt, _) = baselines::liu_tarjan(&g, variant, &CostTracker::new());
-            assert!(
-                same_partition(&lt, &truth),
-                "liu-tarjan {variant:?} wrong on {name}"
-            );
-        }
+        let (lt, _) = baselines::liu_tarjan(&g, &CostTracker::new());
+        assert!(same_partition(&lt, &truth), "liu-tarjan wrong on {name}");
         let forest = baselines::spanning_forest(&g);
         let distinct: std::collections::HashSet<_> = truth.iter().collect();
         assert_eq!(

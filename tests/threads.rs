@@ -141,7 +141,7 @@ fn ltz_is_thread_count_invariant() {
 
 #[test]
 fn baselines_are_thread_count_invariant() {
-    // SV, label-prop and Liu–Tarjan P+SS claim `deterministic`: their
+    // SV, label-prop and Liu–Tarjan claim `deterministic`: their
     // priority writes pick the same winner in any order, so labels, work
     // and depth must be bit-identical to the 1-thread run.
     type Run = (Vec<u32>, u64, u64);
@@ -164,9 +164,7 @@ fn baselines_are_thread_count_invariant() {
                 [
                     exact(&|t| baselines::shiloach_vishkin(&g, t).0),
                     exact(&|t| baselines::label_propagation(&g, t).0),
-                    exact(&|t| {
-                        baselines::liu_tarjan(&g, baselines::LtVariant::ParentDoubleShortcut, t).0
-                    }),
+                    exact(&|t| baselines::liu_tarjan(&g, t).0),
                 ]
             });
             for (solver, run) in ["SV", "label-prop", "liu-tarjan-pss"].iter().zip(&runs) {
@@ -188,6 +186,39 @@ fn baselines_are_thread_count_invariant() {
                     }
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn hybrid_is_thread_count_invariant() {
+    // `hybrid` claims `deterministic`: its sweeps and its Shiloach–Vishkin
+    // kernel resolve concurrent writes by priority, so labels, work, depth
+    // and rounds must equal the 1-thread run. Zoo graphs may converge
+    // inside the sweep phase; the 40×40 mesh forces the kernel to run.
+    let s = solver::find("hybrid").expect("registered");
+    let mut graphs = zoo(23);
+    graphs.push(("mesh", gen::grid2d(40, 40, false)));
+    for (name, g) in graphs {
+        let run = |k| with_threads(k, || s.solve(&g, &SolveCtx::new()));
+        let base = run(1);
+        assert!(
+            same_partition(&base.labels, &components(&g)),
+            "hybrid wrong on {name}"
+        );
+        if name == "mesh" {
+            assert!(
+                base.phases.iter().any(|p| p.name == "kernel"),
+                "the mesh must reach the kernel phase"
+            );
+        }
+        for k in [2, 8] {
+            let r = run(k);
+            assert_eq!(
+                (&r.labels, r.cost, r.rounds),
+                (&base.labels, base.cost, base.rounds),
+                "hybrid labels, work/depth or rounds on {name} at {k} threads"
+            );
         }
     }
 }
