@@ -966,8 +966,10 @@ pub fn e18_store(quick: bool) -> Table {
 /// converges in a handful of sweeps at a fraction of the simulated work).
 /// The hybrid must bound rounds on the mesh by switching to its
 /// Shiloach–Vishkin kernel, and undercut the paper's work on the powerlaw
-/// input by converging inside its sweep phase. The phases column shows
-/// where each hybrid run spent its rounds.
+/// input, where a few sweeps collapse the giant component and the rate
+/// gate hands a kernel of a few thousand nodes and a few dozen edges to SV
+/// (phases `sweep:4 contract:1 kernel:1`). The phases column shows where
+/// each hybrid run spent its rounds.
 #[must_use]
 pub fn e19_adaptive(quick: bool) -> Table {
     let mut t = Table::new(
@@ -1319,7 +1321,7 @@ mod tests {
             hy_mesh * 4.0 < lp_mesh,
             "hybrid must cut mesh rounds: {hy_mesh} vs label-prop {lp_mesh}"
         );
-        // Powerlaw: converging inside the sweep phase must undercut the
+        // Powerlaw: a few sweeps plus a tiny kernel must undercut the
         // full pipeline's simulated work (deterministic, unlike wall).
         let paper_pl = col("powerlaw", "paper", 5);
         let hy_pl = col("powerlaw", "hybrid", 5);

@@ -39,9 +39,9 @@
 //! inputs.
 //!
 //! **Tuning**: the digit-width cap, the per-chunk floor, and the
-//! write-combining switch are runtime-tunable ([`SortTuning`] /
-//! [`set_tuning`]). The `solver::policy` layer installs refitted values
-//! (`parcc tune --sort-probe` measures candidates via [`probe_tunings`]).
+//! write-combining switch are fixed constants ([`SortTuning::default`]).
+//! [`radix_sort_u64_tuned`] takes them explicitly so tests can force
+//! multi-chunk and narrow-digit plans on small inputs.
 //!
 //! **Backend selection**: `PARCC_SORT=radix|cmp` picks the backend at
 //! process start (radix is the default); [`set_backend_override`] lets
@@ -89,8 +89,9 @@ const WC_LINE: usize = 8;
 /// the store buffers.
 pub const WC_MIN_BUCKETS: usize = 64;
 
-/// Runtime-tunable radix knobs. Defaults are the measured constants; the
-/// `solver::policy` layer installs refitted values via [`set_tuning`].
+/// Radix knobs. The defaults are the measured constants every
+/// [`radix_sort_u64`] call uses; other values reach the sort only through
+/// [`radix_sort_u64_tuned`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SortTuning {
     /// Digit-width cap in bits (clamped to `8..=16` at use).
@@ -119,50 +120,6 @@ impl SortTuning {
             min_chunk: self.min_chunk.max(1024),
             write_combine: self.write_combine,
         }
-    }
-}
-
-/// Installed tuning: bits (0 = default), min_chunk (0 = default), and the
-/// WC tristate (0 = default, 1 = on, 2 = off).
-static TUNE_BITS: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
-static TUNE_CHUNK: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-static TUNE_WC: AtomicU8 = AtomicU8::new(0);
-
-/// Install process-wide radix tuning; `None` restores the defaults.
-pub fn set_tuning(t: Option<SortTuning>) {
-    match t {
-        None => {
-            TUNE_BITS.store(0, Ordering::Relaxed);
-            TUNE_CHUNK.store(0, Ordering::Relaxed);
-            TUNE_WC.store(0, Ordering::Relaxed);
-        }
-        Some(t) => {
-            let t = t.clamped();
-            TUNE_BITS.store(t.max_digit_bits, Ordering::Relaxed);
-            TUNE_CHUNK.store(t.min_chunk, Ordering::Relaxed);
-            TUNE_WC.store(if t.write_combine { 1 } else { 2 }, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The radix tuning in effect ([`set_tuning`] values over defaults).
-#[must_use]
-pub fn tuning() -> SortTuning {
-    let d = SortTuning::default();
-    SortTuning {
-        max_digit_bits: match TUNE_BITS.load(Ordering::Relaxed) {
-            0 => d.max_digit_bits,
-            b => b,
-        },
-        min_chunk: match TUNE_CHUNK.load(Ordering::Relaxed) {
-            0 => d.min_chunk,
-            c => c,
-        },
-        write_combine: match TUNE_WC.load(Ordering::Relaxed) {
-            1 => true,
-            2 => false,
-            _ => d.write_combine,
-        },
     }
 }
 
@@ -446,11 +403,11 @@ unsafe fn wc_scatter_chunk(
 /// Deterministic at any thread count (the scatter preserves chunk order
 /// within each bucket, and each pass is a stable counting sort).
 pub fn radix_sort_u64(keys: &mut [u64], arena: &mut SolverArena) {
-    radix_sort_u64_tuned(keys, arena, tuning());
+    radix_sort_u64_tuned(keys, arena, SortTuning::default());
 }
 
-/// [`radix_sort_u64`] with explicit tuning — the probe/test entry that
-/// bypasses the process-wide [`set_tuning`] state.
+/// [`radix_sort_u64`] with explicit tuning — the test entry that forces
+/// plans the defaults only reach on large inputs.
 pub fn radix_sort_u64_tuned(keys: &mut [u64], arena: &mut SolverArena, tune: SortTuning) {
     let tune = tune.clamped();
     let n = keys.len();
@@ -702,42 +659,6 @@ pub fn radix_sort_u64_tuned(keys: &mut [u64], arena: &mut SolverArena, tune: Sor
     arena.give_words(scratch);
 }
 
-/// Measure candidate radix tunings on `n` synthetic packed-edge keys
-/// (deterministic stream — every invocation times the same workload):
-/// returns `(max_digit_bits, write_combine, best-of-`trials` ms)` rows,
-/// fastest first. Feeds `parcc tune --sort-probe`, which persists the
-/// winner through the `solver::policy` layer.
-#[must_use]
-pub fn probe_tunings(n: usize, trials: usize) -> Vec<(u32, bool, f64)> {
-    use std::time::Instant;
-    let s = crate::rng::Stream::new(0xC0FFEE, 16);
-    let nv = (n as u64 / 4).max(16);
-    let keys: Vec<u64> = (0..n as u64)
-        .map(|i| (s.below(2 * i, nv) << 32) | s.below(2 * i + 1, nv))
-        .collect();
-    let mut arena = SolverArena::new();
-    let mut out = Vec::new();
-    for bits in [11u32, 12, 13, 14] {
-        for wc in [true, false] {
-            let tune = SortTuning {
-                max_digit_bits: bits,
-                write_combine: wc,
-                ..SortTuning::default()
-            };
-            let mut best = f64::INFINITY;
-            for _ in 0..trials.max(1) {
-                let mut a = keys.clone();
-                let t0 = Instant::now();
-                radix_sort_u64_tuned(&mut a, &mut arena, tune);
-                best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-            }
-            out.push((bits, wc, best));
-        }
-    }
-    out.sort_by(|a, b| a.2.total_cmp(&b.2));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -927,22 +848,6 @@ mod tests {
             radix_sort_u64_tuned(&mut a, &mut arena, tune);
             assert_eq!(a, expect, "tune {tune:?}");
         }
-    }
-
-    #[test]
-    fn set_tuning_round_trips_clamped() {
-        set_tuning(Some(SortTuning {
-            max_digit_bits: 20, // clamps to 16
-            min_chunk: 10,      // clamps to 1024
-            write_combine: false,
-        }));
-        let t = tuning();
-        assert_eq!(
-            (t.max_digit_bits, t.min_chunk, t.write_combine),
-            (16, 1024, false)
-        );
-        set_tuning(None);
-        assert_eq!(tuning(), SortTuning::default());
     }
 
     #[test]

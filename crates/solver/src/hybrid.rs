@@ -14,8 +14,8 @@
 //!   arena-pooled bitset scan): its per-round shrink is the contraction
 //!   rate.
 //!
-//! When the shrink falls below the policy's `switch_shrink` (or the hard
-//! `max_sweeps` cap trips), sweeping has stopped paying — the remainder is
+//! When the shrink falls below `switch_shrink` (or the hard `max_sweeps`
+//! cap trips), sweeping has stopped paying — the remainder is
 //! the stubborn high-diameter core. The run then **contracts in place**:
 //! relabel every edge by its endpoints' sweep labels, drop loops, simplify
 //! through a [`SolverArena`] (`simplify_edges_into`, zero steady-state
@@ -41,15 +41,17 @@
 //! fires after a small *side-independent* number of sweeps (live count
 //! falls as `n/t²`, so the per-round shrink decays like `1/t`), which is
 //! exactly the workload where pure label-prop pays `Θ(side)` rounds. On a
-//! low-diameter powerlaw graph the frontier hits zero in `d + 1` sweeps
-//! and the kernel never runs at all.
+//! low-diameter powerlaw graph the giant component collapses within a few
+//! sweeps, the live count then stalls near the component count while the
+//! frontier is not yet empty, and the rate gate fires on a tiny kernel: `powerlaw 200000 1 8` switches after 4 sweeps with 4,208
+//! kernel nodes and 41 kernel edges. The sweep phase converges with no
+//! kernel only when every component settles before the gate can fire, as
+//! on an expander.
 //!
 //! Every phase lands in [`SolveReport::phases`] (rounds, live edges, wall,
 //! allocs), so `parcc stats`, `compare --json`, and E19 show *when* the
-//! switch happened and what it cost — the signal `parcc tune` refits the
-//! [`Policy`] from.
+//! switch happened and what it cost.
 
-use crate::policy::{self, Policy};
 use parcc_baselines::{shiloach_vishkin, HashMinSweep};
 use parcc_graph::solver::{ComponentSolver, PhaseStat, SolveCtx, SolveReport, SolverCaps};
 use parcc_graph::store::{concat_edges, GraphStore};
@@ -61,6 +63,26 @@ use parcc_pram::primitives::{compact_map_into, count_distinct_labels, simplify_e
 use parcc_pram::SolverArena;
 use rayon::prelude::*;
 use std::time::Instant;
+
+/// When the sweep phase hands over to the kernel.
+#[derive(Debug, Clone, Copy)]
+struct Thresholds {
+    /// Keep sweeping while the live-component count shrinks by at least
+    /// this fraction per round; below it, contract and solve the kernel.
+    switch_shrink: f64,
+    /// Sweeps always granted before the shrink gate applies (the first
+    /// round's shrink is huge and uninformative on most inputs).
+    min_sweeps: u64,
+    /// Hard sweep cap: switch regardless of the observed rate.
+    max_sweeps: u64,
+}
+
+/// The thresholds every registry solve uses.
+const THRESHOLDS: Thresholds = Thresholds {
+    switch_shrink: 0.25,
+    min_sweeps: 2,
+    max_sweeps: 64,
+};
 
 /// Why the sweep phase ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +122,7 @@ fn sweep_phase(
     sweep: &mut HashMinSweep,
     edges: &[Edge],
     arena: &mut SolverArena,
-    pol: &Policy,
+    th: &Thresholds,
     tracker: &CostTracker,
     trace: &mut Trace,
 ) -> Switch {
@@ -116,10 +138,10 @@ fn sweep_phase(
         let live = count_distinct_labels(sweep.labels(), arena, tracker);
         trace.last_shrink = 1.0 - live as f64 / live_before.max(1) as f64;
         live_before = live;
-        if trace.sweeps >= pol.max_sweeps {
+        if trace.sweeps >= th.max_sweeps {
             break Switch::Cap;
         }
-        if trace.sweeps >= pol.min_sweeps && trace.last_shrink < pol.switch_shrink {
+        if trace.sweeps >= th.min_sweeps && trace.last_shrink < th.switch_shrink {
             break Switch::Rate;
         }
     };
@@ -219,10 +241,9 @@ fn kernel_phase(
     (klabels, stats.rounds)
 }
 
-/// The full adaptive run against an explicit [`Policy`] — the seam the
-/// switch-boundary tests drive directly (the registry entry reads
-/// [`policy::active`]).
-pub fn solve_with_policy(n: usize, edges: &[Edge], ctx: &SolveCtx, pol: &Policy) -> SolveReport {
+/// The full adaptive run against explicit thresholds: the registry entry
+/// passes [`THRESHOLDS`], the switch-boundary tests their own.
+fn solve_with(n: usize, edges: &[Edge], ctx: &SolveCtx, th: &Thresholds) -> SolveReport {
     let mut trace = Trace::default();
     let report = SolveReport::measure(ctx, |tracker| {
         if n == 0 {
@@ -237,7 +258,7 @@ pub fn solve_with_policy(n: usize, edges: &[Edge], ctx: &SolveCtx, pol: &Policy)
         }
         let mut arena = SolverArena::new();
         let mut sweep = HashMinSweep::new(n);
-        let outcome = sweep_phase(&mut sweep, edges, &mut arena, pol, tracker, &mut trace);
+        let outcome = sweep_phase(&mut sweep, edges, &mut arena, th, tracker, &mut trace);
         if outcome == Switch::Converged {
             // Fixpoint labels are per-component minima: already canonical.
             return (sweep.into_labels(), Some(trace.sweeps));
@@ -272,7 +293,7 @@ impl ComponentSolver for HybridSolver {
         "hybrid"
     }
     fn description(&self) -> &'static str {
-        "adaptive: HashMin sweeps while contraction is fast, then contract + SV kernel (policy-tuned)"
+        "adaptive: HashMin sweeps while contraction is fast, then contract + SV kernel"
     }
     fn caps(&self) -> SolverCaps {
         SolverCaps {
@@ -283,23 +304,21 @@ impl ComponentSolver for HybridSolver {
             seeded: false,
             parallel: true,
             // Continuing to sweep requires geometric live-count decay, so
-            // the sweep phase is O(log n) rounds under any policy with
-            // switch_shrink > 0 (and max_sweeps-capped regardless); the SV
-            // kernel is O(log n) rounds.
+            // the sweep phase is O(log n) rounds (and max_sweeps-capped
+            // regardless); the SV kernel is O(log n) rounds.
             polylog_rounds: true,
             tracks_cost: true,
         }
     }
     fn solve(&self, g: &Graph, ctx: &SolveCtx) -> SolveReport {
-        solve_with_policy(g.n(), g.edges(), ctx, &policy::active())
+        solve_with(g.n(), g.edges(), ctx, &THRESHOLDS)
     }
 
     /// Shard-native enough: one exact-size concat (the sweep wants a flat
     /// slice to scan every round), then the same adaptive run.
     fn solve_store(&self, store: &dyn GraphStore, ctx: &SolveCtx) -> SolveReport {
         let edges = concat_edges(store);
-        solve_with_policy(store.n(), &edges, ctx, &policy::active())
-            .note("store_shards", store.shard_count())
+        solve_with(store.n(), &edges, ctx, &THRESHOLDS).note("store_shards", store.shard_count())
     }
 }
 
@@ -323,8 +342,8 @@ mod tests {
         }
     }
 
-    fn check(g: &Graph, pol: &Policy) -> SolveReport {
-        let r = solve_with_policy(g.n(), g.edges(), &SolveCtx::with_seed(3), pol);
+    fn check(g: &Graph, th: &Thresholds) -> SolveReport {
+        let r = solve_with(g.n(), g.edges(), &SolveCtx::with_seed(3), th);
         assert!(same_partition(&r.labels, &components(g)), "wrong partition");
         assert_canonical(&r);
         r
@@ -333,7 +352,7 @@ mod tests {
     #[test]
     fn all_fast_contracting_converges_without_a_kernel() {
         // Tiny diameter: the frontier dies before the rate gate can fire.
-        let r = check(&gen::complete(64), &Policy::default());
+        let r = check(&gen::complete(64), &THRESHOLDS);
         assert_eq!(note(&r, "switch"), "converged");
         assert_eq!(r.phases.len(), 1, "sweep phase only");
         assert_eq!(r.phases[0].name, "sweep");
@@ -343,25 +362,25 @@ mod tests {
     fn never_contracting_switches_at_min_sweeps() {
         // switch_shrink = 0.6: a path shrinks ~1/3 per round once rolling,
         // so the rate gate fires at the first eligible check.
-        let pol = Policy {
+        let th = Thresholds {
             switch_shrink: 0.6,
-            ..Policy::default()
+            ..THRESHOLDS
         };
-        let r = check(&gen::path(400), &pol);
+        let r = check(&gen::path(400), &th);
         assert_eq!(note(&r, "switch"), "rate");
-        assert_eq!(note(&r, "sweeps"), pol.min_sweeps.to_string());
+        assert_eq!(note(&r, "sweeps"), th.min_sweeps.to_string());
         let names: Vec<_> = r.phases.iter().map(|p| p.name).collect();
         assert_eq!(names, vec!["sweep", "contract", "kernel"]);
     }
 
     #[test]
     fn cap_bounds_sweeps_when_the_rate_gate_is_disabled() {
-        let pol = Policy {
+        let th = Thresholds {
             switch_shrink: 0.0, // rate gate never fires
             max_sweeps: 3,
-            ..Policy::default()
+            ..THRESHOLDS
         };
-        let r = check(&gen::path(400), &pol);
+        let r = check(&gen::path(400), &th);
         assert_eq!(note(&r, "switch"), "cap");
         assert_eq!(note(&r, "sweeps"), "3");
         assert!(r.rounds.unwrap() > 3, "kernel rounds add on");
@@ -375,7 +394,7 @@ mod tests {
         let mut sweeps = Vec::new();
         for side in [24usize, 48] {
             let g = gen::grid2d(side, side, false);
-            let r = check(&g, &Policy::default());
+            let r = check(&g, &THRESHOLDS);
             assert_eq!(note(&r, "switch"), "rate", "side {side}");
             sweeps.push(note(&r, "sweeps").parse::<u64>().unwrap());
             assert!(
@@ -389,13 +408,12 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        let pol = Policy::default();
-        let r = check(&Graph::new(0, vec![]), &pol);
+        let r = check(&Graph::new(0, vec![]), &THRESHOLDS);
         assert_eq!(note(&r, "switch"), "empty");
-        let r = check(&Graph::new(1, vec![]), &pol);
+        let r = check(&Graph::new(1, vec![]), &THRESHOLDS);
         assert_eq!(note(&r, "switch"), "no-edges");
         assert_eq!(r.labels, vec![0]);
-        let r = check(&Graph::new(5, vec![]), &pol);
+        let r = check(&Graph::new(5, vec![]), &THRESHOLDS);
         assert_eq!(r.component_count(), 5);
     }
 
@@ -421,10 +439,14 @@ mod tests {
     #[test]
     fn isolated_vertices_survive_the_contraction_roundtrip() {
         let g = gen::with_isolated(&gen::grid2d(12, 12, false), 300);
-        let pol = Policy {
+        let th = Thresholds {
             switch_shrink: 0.9, // force the contraction path
-            ..Policy::default()
+            ..THRESHOLDS
         };
-        check(&g, &pol);
+        let r = check(&g, &th);
+        assert!(
+            r.phases.iter().any(|p| p.name == "contract"),
+            "must take the contraction path"
+        );
     }
 }

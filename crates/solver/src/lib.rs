@@ -21,9 +21,9 @@
 //! | `liu-tarjan-pss` | `[LT19]` parent-connect, two shortcuts | `O(m log n)` | `O(log² n)` |
 //! | `hybrid` | adaptive sweep→contract→SV kernel ([`hybrid::HybridSolver`]) | `O(m·sweeps)` + SV's on the kernel | `O(log n)` |
 //!
-//! The adaptive entry (`hybrid`) reads its thresholds from the refittable
-//! [`policy`] module (`--policy FILE` / `PARCC_POLICY`, emitted by
-//! `parcc tune`).
+//! The adaptive entry (`hybrid`) decides when to stop sweeping from the
+//! contraction rate it observes during the run; its thresholds are
+//! compile-time constants, not a loaded configuration.
 //!
 //! Besides the registry this crate carries the cross-solver drivers:
 //! [`compare`] / [`compare_store`] (run every solver on one graph — flat
@@ -52,7 +52,6 @@ use std::time::Duration;
 
 pub mod hybrid;
 pub mod ooc;
-pub mod policy;
 pub mod serve;
 
 pub use hybrid::HybridSolver;
@@ -62,7 +61,6 @@ pub use parcc_graph::mmap::MappedGraph;
 pub use parcc_graph::snapshot::LabelSnapshot;
 pub use parcc_graph::solver::{ComponentSolver, PhaseStat, SolveCtx, SolveReport, SolverCaps};
 pub use parcc_graph::store::{GraphStore, ShardedGraph};
-pub use policy::Policy;
 pub use serve::{PublishStats, ServeEngine, ServeState};
 
 /// Every registered solver, in presentation order (the paper's pipelines

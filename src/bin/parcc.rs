@@ -8,8 +8,6 @@
 //! parcc compare --json graph.txt       # machine-readable comparison
 //! parcc compare --baseline b.json g.txt # warn on wall/depth regressions
 //! parcc compare --baseline b.json --fail g.txt # ...and exit 1 on any warning
-//! parcc --policy tuned.policy stats g.txt # load adaptive thresholds from a file
-//! parcc tune --out tuned.policy r1.json r2.json # refit thresholds from stored runs
 //! parcc gen cycle 1000 > g.txt         # generators (cycle/path/mesh2d/expander/gnp/powerlaw)
 //! parcc gen mesh2d 300 > g.txt         # 300x300 grid (n = 90000)
 //! parcc gen gnp 10000 7 12 > g.txt     # seed 7, average degree 12
@@ -122,13 +120,12 @@ fn storage_summary(loaded: &LoadedStore) -> String {
 fn usage_text() -> String {
     let mut s = String::from(
         "usage:\n\
-         \x20 parcc [--threads N] [--algo NAME | --ooc] [--policy FILE] labels  <file|->\n\
-         \x20 parcc [--threads N] [--algo NAME | --ooc] [--policy FILE] stats   <file|->\n\
-         \x20 parcc [--threads N] [--policy FILE] compare [--json] [--baseline FILE [--fail]] <file|->\n\
-         \x20 parcc [--threads N] [--policy FILE] serve [--wal PATH [--wal-sync P]] [file]\n\
+         \x20 parcc [--threads N] [--algo NAME | --ooc] labels  <file|->\n\
+         \x20 parcc [--threads N] [--algo NAME | --ooc] stats   <file|->\n\
+         \x20 parcc [--threads N] compare [--json] [--baseline FILE [--fail]] <file|->\n\
+         \x20 parcc [--threads N] serve [--wal PATH [--wal-sync P]] [file]\n\
          \x20 parcc convert [--verify] <in: file|-> <out.pgb>\n\
          \x20 parcc gen [--shards K] <cycle|path|expander|gnp|powerlaw|mesh2d> <n> [seed] [avg-deg]\n\
-         \x20 parcc tune [--out FILE] [--sort-probe] [run.json ...]\n\
          \x20 parcc --help | -h\n\
          \n\
          \x20 labels    print one `vertex label` row per vertex\n\
@@ -150,13 +147,6 @@ fn usage_text() -> String {
          \x20           sharded on-disk format (gnp/powerlaw/mesh2d build shards\n\
          \x20           natively); mesh2d takes the grid SIDE as <n> (n = side²,\n\
          \x20           the high-diameter family that stresses hybrid's switch)\n\
-         \x20 tune      refit the adaptive dispatch policy from stored\n\
-         \x20           `compare --json` outputs (one file per run) and emit a\n\
-         \x20           policy file (--out FILE, else stdout) that --policy /\n\
-         \x20           PARCC_POLICY loads into hybrid; --sort-probe\n\
-         \x20           additionally times radix digit-width / write-combining\n\
-         \x20           candidates on this machine and folds the winner into\n\
-         \x20           the emitted sort_* keys\n\
          \x20 serve     long-lived line protocol on stdin/stdout: writers buffer\n\
          \x20           edges with `add u v [u v ...]` and submit them with\n\
          \x20           `commit` (absorbed by a background merge); readers ask\n\
@@ -180,9 +170,6 @@ fn usage_text() -> String {
          \x20 --threads N   worker pool size (else PARCC_THREADS, else all cores)\n\
          \x20 --algo NAME   solver for labels/stats (default: paper; serve and\n\
          \x20               --ooc always use union-find)\n\
-         \x20 --policy FILE adaptive dispatch thresholds for hybrid\n\
-         \x20               (see `parcc tune`; else the PARCC_POLICY env var,\n\
-         \x20               else built-in defaults)\n\
          \x20 --ooc         out-of-core: stream a PGB binary shard-at-a-time\n\
          \x20               through incremental union-find, releasing\n\
          \x20               each shard's pages behind the cursor (labels/stats,\n\
@@ -284,13 +271,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let policy_path = match take_flag_value(&mut args, "--policy") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
     let ooc = take_flag(&mut args, "--ooc");
     let wal_path = match take_flag_value(&mut args, "--wal") {
         Ok(v) => v,
@@ -314,29 +294,6 @@ fn main() {
     if wal_sync.is_some() && wal_path.is_none() {
         eprintln!("error: --wal-sync requires --wal PATH");
         std::process::exit(2);
-    }
-    if policy_path.is_some()
-        && !matches!(
-            subcommand.as_deref(),
-            Some("labels" | "stats" | "compare" | "serve")
-        )
-    {
-        eprintln!("error: --policy is only valid with labels/stats/compare/serve");
-        std::process::exit(2);
-    }
-    if let Some(path) = policy_path.as_deref() {
-        match solver::policy::Policy::load(std::path::Path::new(path)) {
-            Ok(p) => solver::policy::set_active(p),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else {
-        // Resolve PARCC_POLICY (or defaults) up front: loading errors
-        // surface before any solve starts, and the policy's sort tuning is
-        // installed into the radix layer for the whole run.
-        let _ = solver::policy::active();
     }
     if algo_name.is_some() && (ooc || !matches!(subcommand.as_deref(), Some("labels" | "stats"))) {
         eprintln!(
@@ -366,7 +323,6 @@ fn main() {
         Some("compare") => cmd_compare(&mut args),
         Some("convert") => cmd_convert(&mut args),
         Some("gen") => cmd_gen(&args[1..], shards.as_deref()),
-        Some("tune") => cmd_tune(&mut args),
         Some("serve") => cmd_serve(
             args.get(1).map(String::as_str),
             wal_path.as_deref(),
@@ -755,77 +711,6 @@ fn warn_regressions(rows: &[solver::CompareRow], path: &str) -> Result<usize, St
         }
     }
     Ok(warned)
-}
-
-/// `parcc tune [--out FILE] <run.json> ...`: refit the adaptive dispatch
-/// policy from stored `compare --json` runs (one input graph per file) and
-/// emit a policy file for `--policy` / `PARCC_POLICY`. Line-oriented like
-/// `warn_regressions`: the emitter writes one solver object per line.
-fn cmd_tune(args: &mut Vec<String>) -> Result<(), String> {
-    let out_path = take_flag_value(args, "--out")?;
-    let sort_probe = take_flag(args, "--sort-probe");
-    let files = &args[1..];
-    if files.is_empty() && !sort_probe {
-        return Err(
-            "tune needs stored `parcc compare --json` file(s), --sort-probe, or both".into(),
-        );
-    }
-    let mut groups: Vec<Vec<solver::policy::TuneObservation>> = Vec::new();
-    for path in files {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let mut group: Vec<solver::policy::TuneObservation> = Vec::new();
-        for line in text.lines() {
-            // Solver lines carry a name and a wall; header lines are skipped.
-            let (Some(name), Some(wall_ms)) = (
-                json_str_field(line, "name"),
-                json_num_field(line, "wall_ms"),
-            ) else {
-                continue;
-            };
-            // Hybrid reports its sweep-phase length as the `sweeps` note.
-            let sweep_rounds = json_str_field(line, "sweeps").and_then(|s| s.parse().ok());
-            group.push(solver::policy::TuneObservation {
-                solver: name.to_string(),
-                wall_ms,
-                sweep_rounds,
-            });
-        }
-        if group.is_empty() {
-            return Err(format!(
-                "{path}: no solver entries found (expected stored `parcc compare --json` output)"
-            ));
-        }
-        groups.push(group);
-    }
-    let mut policy = solver::policy::refit(&groups);
-    if sort_probe {
-        // Measure the radix candidates on this machine and fold the winner
-        // into the emitted policy (`sort_digit_bits` / `sort_wc`).
-        eprintln!("probing radix sort tunings (1M synthetic edge keys, best of 3)...");
-        let rows = parcc::pram::sort::probe_tunings(1_000_000, 3);
-        for &(bits, wc, ms) in &rows {
-            eprintln!(
-                "  bits={bits} wc={} : {ms:.1} ms",
-                if wc { "on" } else { "off" }
-            );
-        }
-        let (bits, wc, _) = rows[0];
-        policy.sort_digit_bits = bits;
-        policy.sort_wc = wc;
-        eprintln!("winner: sort_digit_bits={bits} sort_wc={wc}");
-    }
-    let text = policy.to_file_string();
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, &text).map_err(|e| format!("{path}: {e}"))?;
-            eprintln!(
-                "tuned policy from {} run(s) -> {path} (load with --policy or PARCC_POLICY)",
-                groups.len()
-            );
-        }
-        None => print!("{text}"),
-    }
-    Ok(())
 }
 
 /// Report (on stderr) when a generator's structural minimum overrides the

@@ -85,10 +85,16 @@ fn stats_reports_oracle_component_count() {
 }
 
 /// Bad invocations exit nonzero: no args, unknown subcommand, missing file,
-/// unknown algorithm.
+/// unknown algorithm, and the retired `tune` subcommand and `--policy` flag.
 #[test]
 fn bad_invocations_fail_cleanly() {
-    for args in [&[][..], &["frobnicate"][..], &["labels"][..]] {
+    for args in [
+        &[][..],
+        &["frobnicate"][..],
+        &["labels"][..],
+        &["tune", "run.json"][..],
+        &["--policy", "x.policy", "stats", "-"][..],
+    ] {
         let out = parcc_bin().args(args).output().unwrap();
         assert!(!out.status.success(), "{args:?} should fail");
     }
@@ -179,7 +185,8 @@ fn flag_values_are_validated() {
     assert!(text.contains("threads:         2"), "got: {text}");
 }
 
-/// `--help`/`-h` exit 0 and document every subcommand plus the registry.
+/// `--help`/`-h` exit 0 and document every subcommand plus the registry,
+/// and no longer list the retired `tune` subcommand or `--policy` flag.
 #[test]
 fn help_exits_zero_with_full_usage() {
     for flag in ["--help", "-h"] {
@@ -198,6 +205,9 @@ fn help_exits_zero_with_full_usage() {
             "paper",
         ] {
             assert!(text.contains(needle), "{flag} output missing '{needle}'");
+        }
+        for gone in ["tune", "--policy"] {
+            assert!(!text.contains(gone), "{flag} output still lists '{gone}'");
         }
     }
 }
@@ -761,88 +771,6 @@ fn compare_fail_hardens_baseline_warnings() {
 
     let _ = std::fs::remove_file(&graph);
     let _ = std::fs::remove_file(&base);
-}
-
-/// The policy loop end to end: `compare --json` runs feed `parcc tune`,
-/// the emitted policy file parses back through `--policy`, and a bad or
-/// misplaced `--policy` dies up front.
-#[test]
-fn tune_emits_a_policy_that_loads_back() {
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let mesh = dir.join(format!("parcc-cli-tune-mesh-{pid}.txt"));
-    let pl = dir.join(format!("parcc-cli-tune-pl-{pid}.txt"));
-    let run_mesh = dir.join(format!("parcc-cli-tune-mesh-{pid}.json"));
-    let run_pl = dir.join(format!("parcc-cli-tune-pl-{pid}.json"));
-    let policy = dir.join(format!("parcc-cli-tune-{pid}.policy"));
-    for (family, size, path) in [("mesh2d", "24", &mesh), ("powerlaw", "600", &pl)] {
-        let out = parcc_bin().args(["gen", family, size]).output().unwrap();
-        assert!(out.status.success());
-        std::fs::write(path, &out.stdout).unwrap();
-    }
-    for (graph, run) in [(&mesh, &run_mesh), (&pl, &run_pl)] {
-        let out = parcc_bin()
-            .args(["compare", "--json"])
-            .arg(graph)
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "compare failed: {out:?}");
-        std::fs::write(run, &out.stdout).unwrap();
-    }
-
-    let out = parcc_bin()
-        .arg("tune")
-        .arg("--out")
-        .arg(&policy)
-        .arg(&run_mesh)
-        .arg(&run_pl)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "tune failed: {out:?}");
-    let text = std::fs::read_to_string(&policy).unwrap();
-    for key in ["switch_shrink", "max_sweeps"] {
-        assert!(text.contains(key), "policy missing {key}: {text}");
-    }
-    // Without --out the policy goes to stdout instead.
-    let out = parcc_bin().arg("tune").arg(&run_mesh).output().unwrap();
-    assert!(out.status.success());
-    assert!(String::from_utf8(out.stdout)
-        .unwrap()
-        .contains("switch_shrink"));
-
-    // The emitted file round-trips through --policy on a real solve.
-    let out = parcc_bin()
-        .arg("--policy")
-        .arg(&policy)
-        .args(["--algo", "hybrid", "stats"])
-        .arg(&mesh)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "--policy stats failed: {out:?}");
-    assert!(String::from_utf8(out.stdout).unwrap().contains("switch:"));
-
-    // Misuse dies up front: bad file, wrong subcommand, missing input.
-    let out = parcc_bin()
-        .args(["--policy", "/nonexistent/x.policy", "stats"])
-        .arg(&mesh)
-        .output()
-        .unwrap();
-    assert!(!out.status.success(), "missing policy file must fail");
-    let out = parcc_bin()
-        .arg("--policy")
-        .arg(&policy)
-        .args(["gen", "cycle", "10"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success(), "--policy with gen must fail");
-    let out = parcc_bin().arg("tune").output().unwrap();
-    assert!(!out.status.success(), "tune with no runs must fail");
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("compare --json"), "got: {err}");
-
-    for p in [&mesh, &pl, &run_mesh, &run_pl, &policy] {
-        let _ = std::fs::remove_file(p);
-    }
 }
 
 /// `gen` reports size clamps on stderr instead of silently resizing, and

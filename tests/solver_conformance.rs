@@ -133,9 +133,9 @@ fn deterministic_solvers_reproduce_exact_labels() {
 }
 
 /// The `hybrid` solver must adapt to the regime: converge inside its
-/// sweep phase on low-diameter inputs (no kernel) and switch to the
-/// contracted kernel on high-diameter ones — with phase telemetry that
-/// accounts for every reported round either way.
+/// sweep phase on an expander (no kernel) and switch to the contracted
+/// kernel on a mesh — with phase telemetry that accounts for every
+/// reported round either way.
 #[test]
 fn hybrid_switches_by_regime_and_reports_phases() {
     let hybrid = solver::find("hybrid").expect("hybrid registered");

@@ -100,11 +100,10 @@ fn radix_matches_cmp_on_packed_edges() {
     }
 }
 
-/// The tuning surface must never change the answer: every digit width the
-/// policy can ask for, with the write-combining scatter on and off, sorts
+/// The radix plan must never change the answer: digit-width caps across
+/// the whole `8..=16` clamp range, with the write-combining scatter on and
+/// off and a small chunk floor that forces multi-chunk plans, sort
 /// identically to the comparison backend at 1 and 4 threads.
-/// (Uses `radix_sort_u64_tuned` directly — no process-global tuning state,
-/// so this is safe to run alongside the other tests.)
 #[test]
 fn every_tuning_matches_cmp_on_adversarial_shapes() {
     let s = Stream::new(99, 2);
