@@ -15,9 +15,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use crate::BaselineStats;
 
 /// Reusable double-buffered HashMin state: one [`sweep`] is one synchronous
-/// round. `label_propagation` drives it to the fixpoint; adaptive drivers
-/// (the `hybrid` solver) run bounded sweeps, watch the returned frontier
-/// size, and bail out to a contraction when progress stalls. Both buffers
+/// round, and `label_propagation` drives it to the fixpoint. Both buffers
 /// are allocated once at construction, so repeated sweeps perform zero
 /// steady-state heap allocations.
 ///

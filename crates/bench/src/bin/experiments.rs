@@ -48,7 +48,6 @@ fn main() {
     run("e16", ex::e16_sort_backends);
     run("e17", ex::e17_serve_mixed);
     run("e18", ex::e18_store);
-    run("e19", ex::e19_adaptive);
     run("e20", ex::e20_topology);
     run("e21", ex::e21_durability);
 }

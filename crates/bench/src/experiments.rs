@@ -959,77 +959,6 @@ pub fn e18_store(quick: bool) -> Table {
     t
 }
 
-/// E19: the adaptive hybrid against its two pure endpoints on the two
-/// regimes it must bridge. A 2-D mesh is the label-prop worst case
-/// (diameter Θ(side), so pure HashMin needs Θ(side) rounds); a low-diameter
-/// powerlaw graph is the paper pipeline's overkill case (label-prop
-/// converges in a handful of sweeps at a fraction of the simulated work).
-/// The hybrid must bound rounds on the mesh by switching to its
-/// Shiloach–Vishkin kernel, and undercut the paper's work on the powerlaw
-/// input, where a few sweeps collapse the giant component and the rate
-/// gate hands a kernel of a few thousand nodes and a few dozen edges to SV
-/// (phases `sweep:4 contract:1 kernel:1`). The phases column shows where
-/// each hybrid run spent its rounds.
-#[must_use]
-pub fn e19_adaptive(quick: bool) -> Table {
-    let mut t = Table::new(
-        "E19 — adaptive hybrid vs pure label-prop vs pure paper (oracle-verified)",
-        &[
-            "input",
-            "n",
-            "m",
-            "algorithm",
-            "rounds",
-            "work/(m+n)",
-            "wall ms",
-            "phases",
-            "verified",
-        ],
-    );
-    let side = if quick { 64 } else { 192 };
-    let pl_n = if quick { 1 << 13 } else { 1 << 16 };
-    let inputs: Vec<(String, Graph)> = vec![
-        (
-            format!("mesh2d {side}x{side}"),
-            gen::grid2d(side, side, false),
-        ),
-        (
-            format!("powerlaw {pl_n}"),
-            gen::chung_lu(pl_n, 2.5, 8.0, 13),
-        ),
-    ];
-    for (name, g) in &inputs {
-        let mn = (g.n() + g.m()) as f64;
-        let oracle = parcc_solver::oracle_labels(g);
-        for algo in ["label-prop", "paper", "hybrid"] {
-            let s = parcc_solver::find(algo).expect("registered solver");
-            let r = s.solve(g, &SolveCtx::with_seed(13));
-            let verified = parcc_graph::traverse::same_partition(&r.labels, &oracle);
-            let phases = if r.phases.is_empty() {
-                "-".into()
-            } else {
-                r.phases
-                    .iter()
-                    .map(|p| format!("{}:{}", p.name, p.rounds))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            };
-            t.row(vec![
-                name.clone(),
-                g.n().to_string(),
-                g.m().to_string(),
-                algo.into(),
-                r.rounds.map_or("-".into(), |x| x.to_string()),
-                f(r.cost.work as f64 / mn),
-                f(r.wall.as_secs_f64() * 1e3),
-                phases,
-                if verified { "ok" } else { "MISMATCH" }.into(),
-            ]);
-        }
-    }
-    t
-}
-
 /// E20: topology-aware scaling — the default solver on a sharded store
 /// (the sticky-affinity path) swept over worker-pool sizes, reporting
 /// wall, speedup vs the 1-thread run, and parallel efficiency
@@ -1238,7 +1167,6 @@ pub fn all(quick: bool) -> Vec<Table> {
         e16_sort_backends(quick),
         e17_serve_mixed(quick),
         e18_store(quick),
-        e19_adaptive(quick),
         e20_topology(quick),
         e21_durability(quick),
     ]
@@ -1257,7 +1185,7 @@ mod tests {
     fn quick_experiments_produce_rows() {
         // Runs the full quick suite once; asserts every table has data.
         let tables = super::all(true);
-        assert_eq!(tables.len(), 21);
+        assert_eq!(tables.len(), 20);
         for t in &tables {
             assert!(!t.rows.is_empty(), "{} has no rows", t.title);
         }
@@ -1296,39 +1224,6 @@ mod tests {
                 assert!(epochs >= 1, "{}: writes must publish", row[0]);
             }
         }
-    }
-
-    #[test]
-    fn e19_hybrid_wins_both_regimes() {
-        let t = super::e19_adaptive(true);
-        assert_eq!(t.rows.len(), 6, "3 solvers x 2 regimes");
-        for row in &t.rows {
-            assert_eq!(row[8], "ok", "{}/{} failed verification", row[0], row[3]);
-        }
-        let col = |input: &str, algo: &str, idx: usize| -> f64 {
-            t.rows
-                .iter()
-                .find(|r| r[0].starts_with(input) && r[3] == algo)
-                .unwrap_or_else(|| panic!("missing {input}/{algo}"))[idx]
-                .parse()
-                .unwrap()
-        };
-        // Mesh: the switch must bound rounds far below pure HashMin's
-        // Theta(side) fixpoint march (wall clocks are too noisy to pin).
-        let lp_mesh = col("mesh2d", "label-prop", 4);
-        let hy_mesh = col("mesh2d", "hybrid", 4);
-        assert!(
-            hy_mesh * 4.0 < lp_mesh,
-            "hybrid must cut mesh rounds: {hy_mesh} vs label-prop {lp_mesh}"
-        );
-        // Powerlaw: a few sweeps plus a tiny kernel must undercut the
-        // full pipeline's simulated work (deterministic, unlike wall).
-        let paper_pl = col("powerlaw", "paper", 5);
-        let hy_pl = col("powerlaw", "hybrid", 5);
-        assert!(
-            hy_pl < paper_pl,
-            "hybrid must undercut paper work on powerlaw: {hy_pl} vs {paper_pl}"
-        );
     }
 
     #[test]

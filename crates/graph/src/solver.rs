@@ -45,9 +45,11 @@ pub struct SolverCaps {
     /// Executes on the rayon pool / simulated PRAM substrate (as opposed to
     /// a purely sequential reference implementation).
     pub parallel: bool,
-    /// Round count is polylogarithmic in `n` regardless of graph diameter.
-    /// Solvers without this flag (e.g. label propagation at `Θ(d)` rounds)
-    /// should be skipped on huge-diameter workloads.
+    /// Time does not grow with graph diameter: drivers use the flag to
+    /// decide which solvers to run on huge-diameter workloads, and skip
+    /// those without it (label propagation at `Θ(d)` rounds). Round-based
+    /// solvers set it for a round count polylogarithmic in `n`;
+    /// `union-find` and `hybrid` set it without having rounds.
     pub polylog_rounds: bool,
     /// Charges the [`CostTracker`]: simulated work/depth in the report are
     /// meaningful (sequential reference solvers report zero cost).
@@ -90,14 +92,15 @@ impl SolveCtx {
 /// One phase of a multi-phase solve: a named slice of the run with its own
 /// round count, live-edge footprint, wall time, and heap traffic.
 ///
-/// Adaptive solvers (`hybrid`) record one entry per strategy they executed
-/// so the switch decision is observable in `parcc stats`, `compare --json`,
-/// and the bench tables rather than folklore. Round-structured solvers may
-/// record one entry per round (`ltz` reports each EXPAND-MAXLINK round as a
-/// `"round"` phase); the other solvers leave [`SolveReport::phases`] empty.
+/// Multi-pass solvers record one entry per pass (`hybrid` reports its
+/// `"link"` and `"compress"` passes), so where the time went is visible in
+/// `parcc stats`, `compare --json` and the bench tables. Round-structured
+/// solvers may record one entry per round (`ltz` reports each
+/// EXPAND-MAXLINK round as a `"round"` phase); the other solvers leave
+/// [`SolveReport::phases`] empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseStat {
-    /// Phase name (e.g. `"sweep"`, `"contract"`, `"kernel"`).
+    /// Phase name (e.g. `"link"`, `"compress"`, `"round"`).
     pub name: &'static str,
     /// Synchronous rounds executed within this phase.
     pub rounds: u64,
@@ -136,8 +139,8 @@ pub struct SolveReport {
     /// Solver-specific telemetry as `(key, value)` pairs — e.g. the paper
     /// solver's `solved_at_phase`, LTZ's `fallback` flag.
     pub notes: Vec<(&'static str, String)>,
-    /// Per-phase breakdown for multi-strategy solvers and per-round one for
-    /// `ltz`; empty for the other solvers. See [`PhaseStat`].
+    /// Per-pass breakdown for `hybrid` and per-round one for `ltz`; empty
+    /// for the other solvers. See [`PhaseStat`].
     pub phases: Vec<PhaseStat>,
 }
 

@@ -6,9 +6,9 @@
 //! millions of edges per phase that is pure allocator traffic on the
 //! memory-bandwidth-bound contraction loop. A [`SolverArena`] keeps those
 //! buffers alive between calls: the `*_into`/`*_with` primitive variants
-//! (`padded_sort_with`, `simplify_edges_with`, `simplify_edges_into`) and
-//! `count_distinct_labels` check a buffer out, fill it, and check it back
-//! in, so a warm arena makes repeat passes allocation-free. `retain` and
+//! (`padded_sort_with`, `simplify_edges_with`, `simplify_edges_into`)
+//! check a buffer out, fill it, and check it back in, so a warm arena
+//! makes repeat passes allocation-free. `retain` and
 //! `alter_edges` need no arena: they compact in place.
 //!
 //! ## Topology grouping

@@ -92,6 +92,53 @@ impl ParentForest {
         }
     }
 
+    /// Union by min root: put `u` and `v` in one tree by CASing the larger
+    /// of their two roots from itself to the smaller, re-finding both roots
+    /// and retrying when another linker moved that root first.
+    ///
+    /// A root only ever hooks under a smaller root, so on a forest where
+    /// every parent is at most its child — as [`new`](Self::new) starts —
+    /// the smallest vertex of each tree stays its root whatever the order
+    /// of concurrent links. `Relaxed` suffices: a cell publishes nothing
+    /// but its own vertex id, and a stale read only costs a retry, since
+    /// the CAS sees the cell's latest value.
+    #[inline]
+    pub fn link_min(&self, u: Vertex, v: Vertex) {
+        let (mut a, mut b) = (self.find_halving(u), self.find_halving(v));
+        while a != b {
+            let (lo, hi) = (a.min(b), a.max(b));
+            match self.p[hi as usize].compare_exchange(hi, lo, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                Ok(_) => return,
+                Err(_) => (a, b) = (self.find_halving(hi), self.find_halving(lo)),
+            }
+        }
+    }
+
+    /// Root of `v`'s tree by path halving: every vertex on the way is
+    /// re-pointed at its grandparent.
+    ///
+    /// Safe beside concurrent [`link_min`](Self::link_min) calls on a
+    /// forest whose parents never exceed their children. A halving store
+    /// only hits a cell seen as a non-root, and non-roots never become
+    /// roots again, so it never races the root CAS. The stored grandparent
+    /// is an ancestor of `v` in the same component and smaller than `v`;
+    /// a stale store may undo another thread's halving, but it cannot
+    /// change a root or close a cycle.
+    #[inline]
+    #[must_use]
+    pub fn find_halving(&self, mut v: Vertex) -> Vertex {
+        loop {
+            let p = self.parent(v);
+            let gp = self.parent(p);
+            if p == gp {
+                return p;
+            }
+            self.set_parent(v, gp);
+            v = gp;
+        }
+    }
+
     /// Is `v` a root (`v.p = v`)?
     #[inline]
     #[must_use]
@@ -354,6 +401,29 @@ mod tests {
             .filter(|&u| u != 4)
             .for_each(|u| f.hook_root_min(4, 9 - u));
         assert_eq!(f.parent(4), 0);
+    }
+
+    #[test]
+    fn link_min_roots_every_tree_at_its_minimum_under_contention() {
+        // Two interleaved chains (evens and odds) linked in descending
+        // order from 8 threads: each chain ends as one tree rooted at its
+        // smallest vertex, and halving leaves no parent above its child.
+        let n = 4000u32;
+        let f = ParentForest::new(n as usize);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(8)
+            .build()
+            .expect("pool");
+        pool.install(|| {
+            (2..n)
+                .into_par_iter()
+                .for_each(|i| f.link_min(n + 1 - i, n - 1 - i));
+        });
+        for v in 0..n {
+            assert!(f.parent(v) <= v, "parent above child at {v}");
+            assert_eq!(f.find_halving(v), v % 2, "root of {v}");
+        }
+        assert_eq!(f.root_count(), 2);
     }
 
     #[test]

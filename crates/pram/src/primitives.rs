@@ -398,50 +398,12 @@ pub fn sample_edges(edges: &[Edge], p: f64, stream: Stream, tracker: &CostTracke
     out
 }
 
-/// Count distinct values in `labels` — the live-component counter adaptive
-/// solvers consult between sweeps. One mark pass over an arena-pooled bitset
-/// plus a popcount reduce: zero steady-state allocations once the arena is
-/// warm. Every value must be `< labels.len()` (labels are vertex ids).
-/// Charges `(n, 1)` for the concurrent mark plus a logarithmic-depth reduce.
-#[must_use]
-pub fn count_distinct_labels(
-    labels: &[crate::edge::Vertex],
-    arena: &mut SolverArena,
-    tracker: &CostTracker,
-) -> usize {
-    let n = labels.len() as u64;
-    let words = labels.len() / 64 + 1;
-    tracker.charge(n, 1);
-    tracker.charge(words as u64, ceil_log2(words as u64));
-    let mut bits = arena.take_words();
-    bits.clear();
-    bits.resize(words, 0u64);
-    for &l in labels {
-        bits[l as usize / 64] |= 1u64 << (l % 64);
-    }
-    let count = bits.iter().map(|w| w.count_ones() as usize).sum();
-    arena.give_words(bits);
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn t() -> CostTracker {
         CostTracker::new()
-    }
-
-    #[test]
-    fn count_distinct_labels_counts_and_reuses_arena() {
-        let mut arena = SolverArena::new();
-        assert_eq!(count_distinct_labels(&[], &mut arena, &t()), 0);
-        assert_eq!(count_distinct_labels(&[0, 0, 0], &mut arena, &t()), 1);
-        assert_eq!(count_distinct_labels(&[0, 2, 2, 0, 4], &mut arena, &t()), 3);
-        // Second call with the warm arena must hit the word pool.
-        let before = arena.stats().misses;
-        let _ = count_distinct_labels(&[1, 1, 0, 3], &mut arena, &t());
-        assert_eq!(arena.stats().misses, before, "warm arena must not miss");
     }
 
     #[test]

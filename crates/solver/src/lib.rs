@@ -19,11 +19,7 @@
 //! | `label-prop` | HashMin propagation | `O(m·d)` | `O(d)` |
 //! | `random-mate` | Reif `[Rei84]` | `O((m+n) log n)` | `O(log n)` w.h.p. |
 //! | `liu-tarjan-pss` | `[LT19]` parent-connect, two shortcuts | `O(m log n)` | `O(log² n)` |
-//! | `hybrid` | adaptive sweep→contract→SV kernel ([`hybrid::HybridSolver`]) | `O(m·sweeps)` + SV's on the kernel | `O(log n)` |
-//!
-//! The adaptive entry (`hybrid`) decides when to stop sweeping from the
-//! contraction rate it observes during the run; its thresholds are
-//! compile-time constants, not a loaded configuration.
+//! | `hybrid` | concurrent min-root union-find ([`hybrid::HybridSolver`]) | `O(m log n)` | two parallel passes |
 //!
 //! Besides the registry this crate carries the cross-solver drivers:
 //! [`compare`] / [`compare_store`] (run every solver on one graph — flat
@@ -65,7 +61,7 @@ pub use serve::{PublishStats, ServeEngine, ServeState};
 
 /// Every registered solver, in presentation order (the paper's pipelines
 /// first, then the substrate, then the classical baselines, then the
-/// adaptive solver).
+/// concurrent union-find).
 static REGISTRY: [&dyn ComponentSolver; 9] = [
     &PaperSolver,
     &KnownGapSolver,
@@ -170,7 +166,7 @@ pub struct CompareRow {
     pub verified: bool,
     /// Solver-specific telemetry.
     pub notes: Vec<(&'static str, String)>,
-    /// Per-phase breakdown (adaptive solvers, and `ltz` per round; empty
+    /// Per-phase breakdown (`hybrid`'s two passes, `ltz` per round; empty
     /// otherwise).
     pub phases: Vec<parcc_graph::solver::PhaseStat>,
 }

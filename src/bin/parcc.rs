@@ -146,7 +146,7 @@ fn usage_text() -> String {
          \x20           expander/gnp/powerlaw (default 8); --shards K emits the\n\
          \x20           sharded on-disk format (gnp/powerlaw/mesh2d build shards\n\
          \x20           natively); mesh2d takes the grid SIDE as <n> (n = side²,\n\
-         \x20           the high-diameter family that stresses hybrid's switch)\n\
+         \x20           the high-diameter family where label-prop needs Θ(side) rounds)\n\
          \x20 serve     long-lived line protocol on stdin/stdout: writers buffer\n\
          \x20           edges with `add u v [u v ...]` and submit them with\n\
          \x20           `commit` (absorbed by a background merge); readers ask\n\
@@ -218,6 +218,17 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     };
     args.remove(pos);
     true
+}
+
+/// The operands after the subcommand once its flags are taken: at most
+/// `max`, and none of them a flag (`-` alone is stdin). Anything else
+/// exits 2 with the usage.
+fn operands(args: &[String], max: usize) -> &[String] {
+    let rest = &args[1..];
+    if rest.len() > max || rest.iter().any(|a| a.starts_with('-') && a != "-") {
+        usage();
+    }
+    rest
 }
 
 fn apply_threads_flag(args: &mut Vec<String>) -> Result<(), String> {
@@ -318,13 +329,13 @@ fn main() {
         }
     };
     let result = match subcommand.as_deref() {
-        Some("labels") => cmd_labels(algo, args.get(1).map(String::as_str), ooc),
-        Some("stats") => cmd_stats(algo, args.get(1).map(String::as_str), ooc),
+        Some("labels") => cmd_labels(algo, operands(&args, 1).first().map(String::as_str), ooc),
+        Some("stats") => cmd_stats(algo, operands(&args, 1).first().map(String::as_str), ooc),
         Some("compare") => cmd_compare(&mut args),
         Some("convert") => cmd_convert(&mut args),
         Some("gen") => cmd_gen(&args[1..], shards.as_deref()),
         Some("serve") => cmd_serve(
-            args.get(1).map(String::as_str),
+            operands(&args, 1).first().map(String::as_str),
             wal_path.as_deref(),
             wal_sync.as_deref(),
         ),
@@ -457,8 +468,8 @@ fn cmd_stats_ooc(path: &str) -> Result<(), String> {
 /// both the structure (shard-for-shard) and the solved partition.
 fn cmd_convert(args: &mut Vec<String>) -> Result<(), String> {
     let verify = take_flag(args, "--verify");
-    let (input, output) = match (args.get(1), args.get(2)) {
-        (Some(i), Some(o)) => (i.clone(), o.clone()),
+    let (input, output) = match operands(args, 2) {
+        [i, o] => (i.clone(), o.clone()),
         _ => return Err("convert needs an input and an output path".into()),
     };
     let (loaded, load_wall) = load(&input)?;
@@ -542,7 +553,7 @@ fn cmd_compare(args: &mut Vec<String>) -> Result<(), String> {
     if fail && baseline.is_none() {
         return Err("--fail only makes sense with --baseline (it hardens its warnings)".into());
     }
-    let (loaded, _) = load(args.get(1).map(String::as_str).unwrap_or_else(|| usage()))?;
+    let (loaded, _) = load(operands(args, 1).first().unwrap_or_else(|| usage()))?;
     let g = loaded.store();
     let rows = solver::compare_store(g, 0x5EED);
     let all_verified = rows.iter().all(|r| r.verified);
@@ -762,7 +773,7 @@ fn cmd_gen(args: &[String], shards: Option<&str>) -> Result<(), String> {
             "path" => gen::path(clamp("path", n, 2)),
             // mesh2d takes the grid SIDE as <n> (n = side^2): the
             // high-diameter regime where label propagation needs
-            // Theta(side) rounds and the hybrid switch earns its keep.
+            // Theta(side) rounds.
             "mesh2d" => {
                 let side = clamp("mesh2d", n, 2);
                 gen::grid2d(side, side, false)

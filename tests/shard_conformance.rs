@@ -177,9 +177,8 @@ fn sharded_emit_solves_equal_to_flat() {
 }
 
 /// The mesh generator's native sharded emit is edge-for-edge the flat
-/// build (same per-cell right/down order), and the hybrid solver — whose
-/// switch heuristic this family exists to exercise — solves the emitted
-/// store straight off the shards.
+/// build (same per-cell right/down order), and the hybrid solver links the
+/// emitted store straight off the shards into the oracle's partition.
 #[test]
 fn mesh2d_sharded_emit_solves_equal_to_flat() {
     let side = 30;

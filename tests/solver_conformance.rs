@@ -132,49 +132,23 @@ fn deterministic_solvers_reproduce_exact_labels() {
     }
 }
 
-/// The `hybrid` solver must adapt to the regime: converge inside its
-/// sweep phase on an expander (no kernel) and switch to the contracted
-/// kernel on a mesh — with phase telemetry that accounts for every
-/// reported round either way.
+/// `hybrid` is one link pass and one compress pass on every regime, a
+/// low-diameter expander and a high-diameter mesh alike: its phase
+/// telemetry names both, the link pass reads every edge, and it charges no
+/// simulated cost and reports no rounds (its hop counts depend on the
+/// schedule).
 #[test]
-fn hybrid_switches_by_regime_and_reports_phases() {
+fn hybrid_reports_link_and_compress_phases() {
     let hybrid = solver::find("hybrid").expect("hybrid registered");
-    let note = |r: &solver::SolveReport, key: &str| -> String {
-        r.notes
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.clone())
-            .unwrap_or_else(|| panic!("hybrid must note {key}"))
-    };
-    // Expander: diameter O(log n), HashMin halves the live set every
-    // sweep — the rate gate never fires and no kernel phase runs.
-    let fast = gen::random_regular(600, 8, 3);
-    let r = hybrid.solve(&fast, &SolveCtx::with_seed(7));
-    assert!(solver::verify_partition(&fast, &r.labels).is_ok());
-    assert_eq!(note(&r, "switch"), "converged");
-    assert_eq!(r.phases.len(), 1, "no contract/kernel when sweeps converge");
-    // Mesh: diameter Θ(side), contraction stalls at ~1/side per sweep —
-    // the hybrid must hand off instead of marching to the fixpoint.
-    let side = 40;
-    let slow = gen::grid2d(side, side, false);
-    let r = hybrid.solve(&slow, &SolveCtx::with_seed(7));
-    assert!(solver::verify_partition(&slow, &r.labels).is_ok());
-    assert_eq!(note(&r, "switch"), "rate");
-    let names: Vec<&str> = r.phases.iter().map(|p| p.name).collect();
-    assert_eq!(names, ["sweep", "contract", "kernel"]);
-    // Reported rounds = sweep rounds + kernel rounds (the one-shot
-    // contraction is telemetry, not a communication round).
-    let comm: u64 = r
-        .phases
-        .iter()
-        .filter(|p| p.name != "contract")
-        .map(|p| p.rounds)
-        .sum();
-    assert_eq!(r.rounds, Some(comm), "rounds must equal the phase sum");
-    assert!(
-        comm < side as u64 / 2,
-        "switching must beat the Θ(side) fixpoint march: {comm} rounds"
-    );
+    for g in [gen::random_regular(600, 8, 3), gen::grid2d(40, 40, false)] {
+        let r = hybrid.solve(&g, &SolveCtx::with_seed(7));
+        assert!(solver::verify_partition(&g, &r.labels).is_ok());
+        let names: Vec<&str> = r.phases.iter().map(|p| p.name).collect();
+        assert_eq!(names, ["link", "compress"]);
+        assert_eq!(r.phases[0].edges, g.m() as u64, "link reads every edge");
+        assert_eq!(r.rounds, None);
+        assert_eq!((r.cost.work, r.cost.depth), (0, 0));
+    }
 }
 
 /// Nightly seed sweep (CI cron job `seed-sweep.yml` runs this with

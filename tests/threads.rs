@@ -192,33 +192,25 @@ fn baselines_are_thread_count_invariant() {
 
 #[test]
 fn hybrid_is_thread_count_invariant() {
-    // `hybrid` claims `deterministic`: its sweeps and its Shiloach–Vishkin
-    // kernel resolve concurrent writes by priority, so labels, work, depth
-    // and rounds must equal the 1-thread run. Zoo graphs may converge
-    // inside the sweep phase; the 40×40 mesh forces the kernel to run.
+    // `hybrid` claims `deterministic`: a root only ever hooks under a
+    // smaller root, so every component ends rooted at its minimum vertex
+    // on any schedule. Every label must be that minimum — which is what
+    // the BFS oracle reports — at every thread count, and each 8-thread
+    // case runs three times to give the schedule room to vary.
     let s = solver::find("hybrid").expect("registered");
     let mut graphs = zoo(23);
     graphs.push(("mesh", gen::grid2d(40, 40, false)));
+    graphs.push(("chung_lu_20k", gen::chung_lu(20_000, 2.5, 8.0, 19)));
     for (name, g) in graphs {
-        let run = |k| with_threads(k, || s.solve(&g, &SolveCtx::new()));
-        let base = run(1);
-        assert!(
-            same_partition(&base.labels, &components(&g)),
-            "hybrid wrong on {name}"
-        );
-        if name == "mesh" {
-            assert!(
-                base.phases.iter().any(|p| p.name == "kernel"),
-                "the mesh must reach the kernel phase"
-            );
-        }
-        for k in [2, 8] {
-            let r = run(k);
-            assert_eq!(
-                (&r.labels, r.cost, r.rounds),
-                (&base.labels, base.cost, base.rounds),
-                "hybrid labels, work/depth or rounds on {name} at {k} threads"
-            );
+        let minima = components(&g);
+        for k in THREAD_COUNTS {
+            for _ in 0..if k == 8 { 3 } else { 1 } {
+                let r = with_threads(k, || s.solve(&g, &SolveCtx::new()));
+                assert!(
+                    r.labels == minima,
+                    "hybrid labels on {name} at {k} threads are not the component minima"
+                );
+            }
         }
     }
 }
