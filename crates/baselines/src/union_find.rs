@@ -117,7 +117,11 @@ impl IncrementalUnionFind {
 
     /// Grow the vertex space to at least `n` (no-op when already larger).
     /// New vertices are singletons.
+    ///
+    /// # Panics
+    /// If `n > u32::MAX`: vertex ids must fit in `u32`.
     pub fn ensure_n(&mut self, n: usize) {
+        assert!(n <= u32::MAX as usize, "vertex ids must fit in u32");
         let old = self.nodes.len();
         if n > old {
             self.nodes.extend((old as u32..n as u32).map(|v| Node {
@@ -335,6 +339,18 @@ mod tests {
         assert_eq!(inc.labels().len(), 12);
         inc.ensure_n(3); // shrink requests are ignored
         assert_eq!(inc.labels().len(), 12);
+    }
+
+    #[test]
+    fn ensure_n_refuses_a_vertex_space_past_u32_before_mutating() {
+        let mut inc = IncrementalUnionFind::new(2);
+        let past = u32::MAX as usize + 1;
+        let grow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| inc.ensure_n(past)));
+        assert!(grow.is_err(), "n = 2^32 must be refused");
+        assert_eq!(inc.labels(), vec![0, 1], "a refused grow changes nothing");
+        inc.absorb_batch(&[Edge::new(0, 1)]);
+        let (snap, _) = inc.publish(&LabelSnapshot::empty(0), 0);
+        assert_eq!(snap.component_count(), 1);
     }
 
     /// 2^20 vertices with `0..big` already one component, published.

@@ -8,11 +8,6 @@
 use parcc_bench::experiments as ex;
 use parcc_bench::Table;
 
-/// Real `allocs` columns in the tables (E16) need the counting hook.
-#[global_allocator]
-static ALLOC: parcc_pram::alloc_track::CountingAllocator =
-    parcc_pram::alloc_track::CountingAllocator;
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick" || a == "-q");
@@ -45,7 +40,6 @@ fn main() {
     run("e13", ex::e13_budget_ablation);
     run("e14", ex::e14_thread_scaling);
     run("e15", ex::e15_sharded_storage);
-    run("e16", ex::e16_sort_backends);
     run("e17", ex::e17_serve_mixed);
     run("e18", ex::e18_store);
     run("e20", ex::e20_topology);

@@ -714,83 +714,6 @@ pub fn e15_sharded_storage(quick: bool) -> Table {
     t
 }
 
-/// E16: the sort backbone — radix vs comparison backend across the
-/// workload zoo. Raw sort throughput on the packed edge words, then the
-/// end-to-end `paper` and `ltz` solves under each `PARCC_SORT` backend
-/// (flipped via the runtime override), every labeling oracle-verified.
-/// The `allocs` column is the counting-allocator delta for the radix-paper
-/// run — zero unless the binary installs the hook (the `experiments` bin
-/// and CI smoke do; library test runs report 0).
-#[must_use]
-pub fn e16_sort_backends(quick: bool) -> Table {
-    use parcc_pram::sort::{self, SortBackend};
-    let mut t = Table::new(
-        "E16 — hot paths: radix vs cmp sort backend (sort throughput + end-to-end walls)",
-        &[
-            "family",
-            "m",
-            "sort radix ms",
-            "sort cmp ms",
-            "sort speedup",
-            "paper r/c ms",
-            "ltz r/c ms",
-            "paper allocs",
-            "verified",
-        ],
-    );
-    let n = if quick { 1 << 12 } else { 1 << 16 };
-    let best_sort = |words: &[u64], backend: SortBackend| -> f64 {
-        sort::set_backend_override(Some(backend));
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let mut copy = words.to_vec();
-            let t0 = Instant::now();
-            sort::sort_u64(&mut copy);
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        sort::set_backend_override(None);
-        best
-    };
-    for fam in [
-        Family::Expander,
-        Family::PowerLaw,
-        Family::Cycle,
-        Family::Union,
-    ] {
-        let g = fam.build(n, 13);
-        let words: Vec<u64> = g.edges().iter().map(|e| e.0).collect();
-        let sr = best_sort(&words, SortBackend::Radix);
-        let sc = best_sort(&words, SortBackend::Cmp);
-        let oracle = parcc_solver::oracle_labels(&g);
-        let mut verified = true;
-        let mut solve = |name: &str, backend: SortBackend| -> (f64, u64) {
-            sort::set_backend_override(Some(backend));
-            let r = parcc_solver::find(name)
-                .expect("registered")
-                .solve(&g, &SolveCtx::with_seed(13));
-            sort::set_backend_override(None);
-            verified &= parcc_graph::traverse::same_partition(&r.labels, &oracle);
-            (r.wall.as_secs_f64() * 1e3, r.allocs)
-        };
-        let (pr, pr_allocs) = solve("paper", SortBackend::Radix);
-        let (pc, _) = solve("paper", SortBackend::Cmp);
-        let (lr, _) = solve("ltz", SortBackend::Radix);
-        let (lc, _) = solve("ltz", SortBackend::Cmp);
-        t.row(vec![
-            fam.name().into(),
-            g.m().to_string(),
-            f(sr),
-            f(sc),
-            f(sc / sr.max(1e-9)),
-            format!("{}/{}", f(pr), f(pc)),
-            format!("{}/{}", f(lr), f(lc)),
-            pr_allocs.to_string(),
-            if verified { "ok" } else { "MISMATCH" }.into(),
-        ]);
-    }
-    t
-}
-
 /// E17: the serve mode under a mixed insert/query workload. A writer
 /// thread submits edge batches at three rates (idle/steady/flood) while
 /// the reader pins epoch snapshots and times `same-component` queries;
@@ -1164,7 +1087,6 @@ pub fn all(quick: bool) -> Vec<Table> {
         e13_budget_ablation(quick),
         e14_thread_scaling(quick),
         e15_sharded_storage(quick),
-        e16_sort_backends(quick),
         e17_serve_mixed(quick),
         e18_store(quick),
         e20_topology(quick),
@@ -1185,7 +1107,7 @@ mod tests {
     fn quick_experiments_produce_rows() {
         // Runs the full quick suite once; asserts every table has data.
         let tables = super::all(true);
-        assert_eq!(tables.len(), 20);
+        assert_eq!(tables.len(), 19);
         for t in &tables {
             assert!(!t.rows.is_empty(), "{} has no rows", t.title);
         }

@@ -212,9 +212,6 @@ pub struct ConnectivityStats {
     pub total: Cost,
     /// High-water bytes retained by the run's reusable buffer pool.
     pub arena_peak_bytes: u64,
-    /// Per-node pool checkout summary (`n0:t=..,m=..|n1:..`) when more
-    /// than one topology group served checkouts.
-    pub arena_groups: Option<String>,
 }
 
 /// SPARSEBUILD(G′, H₂, b) (paper §7.3.1): classify degrees from `H₂`, pull
@@ -517,7 +514,6 @@ pub fn connectivity_sharded(
     let labels = forest.labels(tracker);
     stats.total = tracker.snapshot().since(start);
     stats.arena_peak_bytes = arena.stats().peak_bytes;
-    stats.arena_groups = arena.group_summary();
     (labels, stats)
 }
 

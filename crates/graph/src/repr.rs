@@ -243,10 +243,8 @@ impl Csr {
 
     /// Finish a parallel build from the degree vector and the *unsorted*
     /// half-edge words: sort groups by source (neighbours ordered by id),
-    /// truncation keeps the target half. The sort rides the runtime
-    /// backend (`PARCC_SORT=radix|cmp` — radix by default): half-edge
-    /// words are exactly the packed integer keys the radix path exists
-    /// for, and both backends produce the identical ascending run.
+    /// truncation keeps the target half. Half-edge words are packed
+    /// integer keys, so [`parcc_pram::sort::sort_u64`] sorts them directly.
     pub(crate) fn from_degrees_and_halves(deg: &[u32], mut half: Vec<u64>) -> Self {
         let offsets = Self::offsets_from_degrees(deg);
         parcc_pram::sort::sort_u64(&mut half);

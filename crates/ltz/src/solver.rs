@@ -22,8 +22,7 @@ impl LtzSolver {
     /// adjacent dedup): EXPAND-MAXLINK charges `O(|E|)` per round, so
     /// paying one sort up front to make every round scan *distinct* edges
     /// only is the Liu–Tarjan engineering trade — and on already-simple
-    /// inputs the sort is the only cost. The sort rides the `PARCC_SORT`
-    /// backend, so the radix/cmp comparison (E16) covers this pipeline.
+    /// inputs the sort is the only cost.
     fn run(&self, n: usize, edges: Vec<Edge>, ctx: &SolveCtx) -> SolveReport {
         let mut note_fallback = false;
         let mut note_level = 0;

@@ -1,6 +1,6 @@
 //! Heap-allocation telemetry: a counting `GlobalAlloc` hook.
 //!
-//! The zero-allocation hot-path work (radix sort, [`crate::arena`], the
+//! The zero-allocation hot-path work (in-place sorts, [`crate::arena`], the
 //! LTZ engine's round-to-round buffer reuse) needs a way to *prove* it:
 //! [`CountingAllocator`] wraps the system allocator and maintains
 //! process-wide relaxed-atomic counters — allocation count, live bytes,

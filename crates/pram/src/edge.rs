@@ -77,7 +77,7 @@ impl Edge {
 ///
 /// Sound because `Edge` is `#[repr(transparent)]` over `u64`; useful
 /// because the derived `Ord` on `Edge` equals the numeric order of the
-/// packed word, so integer sorts (the radix backend) sort edges directly.
+/// packed word, so sorting the words sorts the edges.
 #[must_use]
 pub fn edge_words(edges: &[Edge]) -> &[u64] {
     // SAFETY: Edge is repr(transparent) over u64 — identical layout.

@@ -47,7 +47,6 @@ pub use arena::{ArenaStats, SolverArena};
 pub use cost::CostTracker;
 pub use edge::{Edge, Vertex};
 pub use forest::ParentForest;
-pub use sort::SortBackend;
 
 /// Run `f` with the rayon pool pinned to a single thread.
 ///

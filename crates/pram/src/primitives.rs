@@ -3,7 +3,7 @@
 //! | primitive | paper source | paper cost | realization here |
 //! |---|---|---|---|
 //! | approximate compaction | Lemma 4.2 `[Goo91]` | `O(log* n)` time, `O(n)` work | `retain`: per-chunk in-place compaction + ordered slide; `compact*`: chunk-count + disjoint scatter |
-//! | padded sort | Lemma 7.9 `[HR92]` | `O(log log m)` time, `O(m)` work | parallel LSD radix sort ([`crate::sort`]) |
+//! | padded sort | Lemma 7.9 `[HR92]` | `O(log log m)` time, `O(m)` work | parallel comparison merge sort on packed `u64` words ([`crate::sort`]) |
 //! | perfect-hash dedup | `[GMV91]` | `O(log* n)` time, `O(m)` work | canonicalize + sort + adjacent-dedup |
 //! | prefix sum | `[BH89]` lower bound | `Θ(log n / log log n)` | blocked two-pass scan, charged `log n` |
 //!
@@ -12,18 +12,15 @@
 //! depth curves are comparable to the theory even where the multicore
 //! realization differs from the PRAM-optimal circuit.
 //!
-//! ## Why radix sort keeps the padded-sort depth charge unchanged
+//! ## Why the padded sort is charged at the paper's rate
 //!
 //! The paper's padded sort (Lemma 7.9) is a *cost model statement*: packed
-//! integer keys sort in `O(log log m)` CRCW depth at linear work. Which
-//! machine sort realizes it — the comparison merge sort of earlier PRs or
-//! the LSD radix sort that is now the default — is an implementation
-//! detail *below* the model: both produce the identical ascending
-//! permutation of the same `u64` multiset, so [`padded_sort`] charges the
-//! same `(m, ⌈log log m⌉)` either way and measured depth curves stay
-//! theory-comparable while wall time drops. The backend is selectable at
-//! runtime (`PARCC_SORT=radix|cmp`, see [`crate::sort`]) precisely so the
-//! two realizations can be A/B-ed under one cost model (experiment E16).
+//! integer keys sort in `O(log log m)` CRCW depth at linear work. The
+//! machine sort that realizes it here, the rayon shim's comparison merge
+//! sort, is an implementation detail *below* the model: it produces the
+//! one ascending permutation of the `u64` multiset, so [`padded_sort`]
+//! charges `(m, ⌈log log m⌉)` and measured depth curves stay
+//! theory-comparable whatever the sort's wall time.
 //!
 //! ## Allocation discipline
 //!
@@ -82,9 +79,9 @@ pub fn prefix_sum(xs: &[u64], tracker: &CostTracker) -> (Vec<u64>, u64) {
     (out, total)
 }
 
-/// Shared output pointer for disjoint parallel scatters (the
-/// [`scatter_filter_into`] write pass, the radix sort's per-pass
-/// scatter). Chunks write pairwise-disjoint index ranges.
+/// Shared output pointer for the disjoint parallel scatter of
+/// [`scatter_filter_into`]'s write pass. Chunks write pairwise-disjoint
+/// index ranges.
 #[derive(Clone, Copy)]
 pub(crate) struct SharedOut<T>(pub(crate) *mut T);
 unsafe impl<T: Send> Send for SharedOut<T> {}
@@ -260,20 +257,11 @@ pub fn compact_map_into<T: Copy + Send + Sync, U: Copy + Send + Sync>(
 }
 
 /// Padded sort of packed edges by `(u, v)` (paper Lemma 7.9 `[HR92]`).
-/// Charges `(n, ceil(log log n))` — the paper's rate, independent of which
-/// machine backend (`PARCC_SORT=radix|cmp`) realizes the sort (see the
-/// module docs). Allocates transient radix scratch; hot paths use
-/// [`padded_sort_with`].
+/// Charges `(n, ceil(log log n))`, the paper's rate, whatever the machine
+/// sort costs (see the module docs). Sorts in place at one thread.
 pub fn padded_sort(edges: &mut [Edge], tracker: &CostTracker) {
     tracker.charge(edges.len() as u64, ceil_loglog(edges.len() as u64));
     sort::sort_u64(edge_words_mut(edges));
-}
-
-/// [`padded_sort`] drawing radix scratch from `arena` (allocation-free
-/// once warm). Charges `(n, ceil(log log n))`.
-pub fn padded_sort_with(edges: &mut [Edge], arena: &mut SolverArena, tracker: &CostTracker) {
-    tracker.charge(edges.len() as u64, ceil_loglog(edges.len() as u64));
-    sort::sort_u64_with(edge_words_mut(edges), arena);
 }
 
 /// Is `edges` already canonically oriented (`u ≤ v`) and sorted? A cheap
@@ -365,7 +353,7 @@ pub fn simplify_edges_into(
         &mut canon,
         tracker,
     );
-    padded_sort_with(&mut canon, arena, tracker);
+    padded_sort(&mut canon, tracker);
     tracker.charge(canon.len() as u64, 1);
     let canon_ref: &[Edge] = &canon;
     scatter_filter_into(
@@ -517,14 +505,14 @@ mod tests {
     }
 
     #[test]
-    fn padded_sort_large_matches_cmp_backend() {
+    fn padded_sort_large_matches_edge_order() {
         let s = Stream::new(5, 5);
         let mut a: Vec<Edge> = (0..60_000)
             .map(|i| Edge::new(s.hash(i) as u32 % 5000, s.hash(i + 1) as u32 % 5000))
             .collect();
         let mut b = a.clone();
-        padded_sort(&mut a, &t()); // default backend (radix)
-        b.par_sort_unstable();
+        padded_sort(&mut a, &t()); // sorts the packed words
+        b.sort_unstable();
         assert_eq!(a, b);
     }
 

@@ -67,10 +67,12 @@ fn solve_slices(n: usize, slices: &[&[Edge]], ctx: &SolveCtx) -> SolveReport {
             }
         });
         let (labels, compress) = phase("compress", 0, || {
-            (0..n as Vertex)
-                .into_par_iter()
-                .map(|v| forest.find_halving(v))
-                .collect()
+            let mut labels = vec![0; n];
+            labels
+                .par_iter_mut()
+                .enumerate()
+                .for_each(|(v, label)| *label = forest.find_halving(v as Vertex));
+            labels
         });
         phases = vec![link, compress];
         (labels, None)

@@ -357,16 +357,27 @@ mod tests {
 
     #[test]
     fn par_sort_matches_std_sort() {
-        let mut v: Vec<u64> = (0..200_000u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9).rotate_left(13))
-            .collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        for threads in [1, 8] {
-            let mut got = v.clone();
-            with_threads(threads, || got.par_sort_unstable());
-            assert_eq!(got, expect, "threads={threads}");
+        let scrambled = |i: u64| i.wrapping_mul(0x9E37_79B9).rotate_left(13);
+        // Lengths straddle the sequential sort and merge cut-offs (8192).
+        for len in [8191u64, 8192, 8193, 16385, 200_000] {
+            let shapes: [Vec<u64>; 5] = [
+                (0..len).map(scrambled).collect(),
+                (0..len).collect(),
+                (0..len).rev().collect(),
+                vec![7; len as usize],
+                (0..len).map(|i| scrambled(i) & 1).collect(),
+            ];
+            for v in shapes {
+                let mut expect = v.clone();
+                expect.sort_unstable();
+                for threads in [1, 2, 3, 8] {
+                    let mut got = v.clone();
+                    with_threads(threads, || got.par_sort_unstable());
+                    assert_eq!(got, expect, "len={len} threads={threads}");
+                }
+            }
         }
+        let mut v: Vec<u64> = (0..200_000u64).map(scrambled).collect();
         with_threads(8, || v.par_sort_unstable_by_key(|x| std::cmp::Reverse(*x)));
         assert!(v.windows(2).all(|w| w[0] >= w[1]));
     }

@@ -950,6 +950,15 @@ fn serve_command(
             for pair in ids.chunks_exact(2) {
                 let u = parse_vertex(Some(pair[0]), "add")?;
                 let v = parse_vertex(Some(pair[1]), "add")?;
+                // The vertex space holds ids below u32::MAX (n must fit
+                // in u32); refuse the rest before the batch reaches the WAL.
+                if u.max(v) == u32::MAX {
+                    return Err(format!(
+                        "add: vertex id {} out of range (max {})",
+                        u32::MAX,
+                        u32::MAX - 1
+                    ));
+                }
                 edges.push(Edge::new(u, v));
             }
             session.pending.extend(edges); // all-or-nothing: nothing buffered on a parse error

@@ -87,7 +87,7 @@ fn warm_arena_primitives_are_allocation_free() {
             .collect();
         let tracker = CostTracker::new();
         let mut arena = SolverArena::new();
-        // Warm: one full simplify (canonicalize + radix sort + dedup), one
+        // Warm: one full simplify (canonicalize + sort + dedup), one
         // alter + retain pass.
         let forest = ParentForest::new(n as usize);
         for _ in 0..2 {
@@ -176,6 +176,29 @@ fn ltz_table_activation_does_not_allocate_per_vertex() {
     });
 }
 
+/// `hybrid`'s compress pass writes every label into one buffer, so at one
+/// thread it makes a single allocation whatever n.
+fn hybrid_compress_allocates_only_its_labels() {
+    use parcc::graph::generators::chung_lu;
+    use parcc::solver::SolveCtx;
+    run_single_threaded(|| {
+        let g = chung_lu(1 << 16, 2.5, 8.0, 3);
+        let r = parcc::solver::find("hybrid")
+            .expect("registered")
+            .solve(&g, &SolveCtx::with_seed(1));
+        let compress = r
+            .phases
+            .iter()
+            .find(|p| p.name == "compress")
+            .expect("hybrid reports a compress phase");
+        assert!(
+            compress.allocs <= 1,
+            "hybrid compress made {} allocations at 1 thread",
+            compress.allocs
+        );
+    });
+}
+
 fn parallel_hot_paths_never_allocate_proportionally_to_m() {
     // At the ambient thread count (could be > 1 under PARCC_THREADS=4) the
     // pool's per-batch bookkeeping may allocate, but never O(m) data:
@@ -227,5 +250,6 @@ fn hot_paths_hold_their_allocation_budget() {
     warm_arena_primitives_are_allocation_free();
     warm_label_prop_sweeps_are_allocation_free();
     ltz_table_activation_does_not_allocate_per_vertex();
+    hybrid_compress_allocates_only_its_labels();
     parallel_hot_paths_never_allocate_proportionally_to_m();
 }

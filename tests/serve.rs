@@ -489,6 +489,25 @@ fn serve_binary_selects_registry_algos_and_rejects_garbage() {
     assert!(lines[3].starts_with("error: nothing to commit"));
     assert_eq!(lines[4], "epoch 0");
     assert_eq!(lines[5], "bye");
+
+    // u32::MAX is not a vertex id: `add` refuses it before anything is
+    // buffered, and the session's later answers stay exact.
+    let lines = serve_script(
+        &["serve"],
+        "add 0 4294967295\ncommit\nflush\nadd 0 1\ncommit\nflush\ncomponent-count\nquit\n",
+    );
+    assert!(
+        lines[0].starts_with("error: add") && lines[0].contains("4294967295"),
+        "got: {}",
+        lines[0]
+    );
+    assert!(lines[1].starts_with("error: nothing to commit"));
+    assert_eq!(lines[2], "epoch 0");
+    assert_eq!(lines[3], "ok pending=1");
+    assert_eq!(lines[4], "batch 1 edges=1");
+    assert_eq!(lines[5], "epoch 1");
+    assert_eq!(lines[6], "component-count 1 epoch=1");
+    assert_eq!(lines[7], "bye");
 }
 
 #[test]

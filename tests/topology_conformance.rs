@@ -1,7 +1,7 @@
 //! Synthetic-topology conformance: under a forced `PARCC_TOPOLOGY=2x2`
-//! layout (two node groups, NUMA-local stealing, sticky shard bands,
-//! per-node arena pools) every registered solver must still produce the
-//! oracle partition — on flat, sharded, and memory-mapped backends, at 1
+//! layout (two node groups, NUMA-local stealing, sticky shard bands)
+//! every registered solver must still produce the oracle partition — on
+//! flat, sharded, and memory-mapped backends, at 1
 //! and 4 effective threads — and the 1-thread schedule must stay
 //! bit-for-bit deterministic. Topology changes WHERE work runs, never
 //! WHAT it computes.
@@ -148,13 +148,4 @@ fn one_thread_runs_are_bit_identical_under_synthetic_topology() {
             );
         }
     }
-}
-
-/// The synthetic layout reaches the arena: a fresh [`SolverArena`] groups
-/// its pools by the forced 2-node topology.
-#[test]
-fn arena_groups_follow_the_synthetic_topology() {
-    force_synthetic_topology();
-    let arena = parcc::pram::arena::SolverArena::new();
-    assert_eq!(arena.group_count(), 2);
 }
