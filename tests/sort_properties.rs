@@ -48,8 +48,11 @@ fn assert_sorts_match_std(keys: &[u64]) {
     }
 }
 
+/// The shapes that stress a byte-wise radix sort (constant and single
+/// varying bytes, sentinels, sorted runs) still check `sort_u64`, which
+/// must order them as std's comparison sort does.
 #[test]
-fn sort_u64_matches_std_on_adversarial_shapes() {
+fn radix_matches_cmp_on_adversarial_shapes() {
     let s = Stream::new(42, 1);
     // Random, spanning the sequential cutoffs.
     for len in [0usize, 1, 100, 2047, 2048, 5000, 120_000] {
@@ -70,9 +73,6 @@ fn sort_u64_matches_std_on_adversarial_shapes() {
             .collect();
         assert_sorts_match_std(&keys);
     }
-    // Few distinct keys: a handful of values repeated many times.
-    let keys: Vec<u64> = (0..100_000u64).map(|i| s.hash(i % 17)).collect();
-    assert_sorts_match_std(&keys);
     // Sentinel-heavy: the all-ones reserved value and zero dominate.
     let keys: Vec<u64> = (0..60_000)
         .map(|i| match i % 4 {
@@ -83,6 +83,34 @@ fn sort_u64_matches_std_on_adversarial_shapes() {
         })
         .collect();
     assert_sorts_match_std(&keys);
+}
+
+/// The merge sort's only tuning is its pool width, which sets the leaf
+/// size and the sequential-merge floor: at every width from 1 to 8 it
+/// orders each shape as std's `sort_unstable` does.
+#[test]
+fn every_tuning_matches_cmp_on_adversarial_shapes() {
+    let s = Stream::new(99, 2);
+    let shapes: Vec<Vec<u64>> = vec![
+        (0..120_000u64).map(|i| s.hash(i)).collect(),
+        (0..90_000u64).rev().collect(),
+        vec![0x0123_4567_89AB_CDEF; 40_000],
+        // Packed edges over a small vertex range: constant high bytes.
+        (0..80_000u64)
+            .map(|i| Edge::new(s.below(2 * i, 9000) as u32, s.below(2 * i + 1, 9000) as u32).0)
+            .collect(),
+        // Few distinct keys: a handful of values repeated many times.
+        (0..100_000u64).map(|i| s.hash(i % 17)).collect(),
+    ];
+    for keys in &shapes {
+        let mut expect = keys.clone();
+        expect.sort_unstable();
+        for threads in [1usize, 2, 3, 8] {
+            let mut got = keys.clone();
+            with_threads(threads, || sort_u64(&mut got));
+            assert_eq!(got, expect, "threads={threads} len={}", keys.len());
+        }
+    }
 }
 
 #[test]
