@@ -74,10 +74,21 @@ pub fn binary_tree(n: usize) -> Graph {
     Graph::new(n, edges)
 }
 
+/// Vertex ids are `u32`: a larger grid would wrap `r * cols + c` and build
+/// its whole edge list before [`Graph::new`] could refuse it.
+fn assert_grid_fits(rows: usize, cols: usize) {
+    assert!(
+        rows.checked_mul(cols)
+            .is_some_and(|n| n <= u32::MAX as usize),
+        "a {rows}x{cols} grid has more vertices than u32 ids can name"
+    );
+}
+
 /// `rows × cols` grid; with `torus`, opposite borders are glued.
 /// `λ = Θ(1/max(rows,cols)²)`.
 #[must_use]
 pub fn grid2d(rows: usize, cols: usize, torus: bool) -> Graph {
+    assert_grid_fits(rows, cols);
     let at = |r: usize, c: usize| (r * cols + c) as Vertex;
     let mut edges = Vec::new();
     for r in 0..rows {
@@ -103,6 +114,7 @@ pub fn grid2d(rows: usize, cols: usize, torus: bool) -> Graph {
 /// edge-for-edge to `grid2d(rows, cols, torus)` at any shard count.
 #[must_use]
 pub fn grid2d_sharded(rows: usize, cols: usize, torus: bool, k: usize) -> ShardedGraph {
+    assert_grid_fits(rows, cols);
     let at = move |r: usize, c: usize| (r * cols + c) as Vertex;
     ShardedGraph::from_rows(rows * cols, k, rows as u64, move |row| {
         let r = row as usize;
@@ -544,6 +556,15 @@ mod tests {
         let t = grid2d(4, 4, true);
         assert_eq!(t.m(), 2 * 16);
         assert!(t.degrees().iter().all(|&d| d == 4));
+    }
+
+    #[test]
+    fn grids_past_u32_ids_are_refused_up_front() {
+        // 65536² = 2^32 vertices: one more than u32 ids can name. The
+        // assert fires before any edge is built.
+        assert!(std::panic::catch_unwind(|| grid2d(65_536, 65_536, false)).is_err());
+        assert!(std::panic::catch_unwind(|| grid2d_sharded(65_536, 65_536, false, 4)).is_err());
+        assert!(std::panic::catch_unwind(|| grid2d(usize::MAX, 2, false)).is_err());
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!
 //! ## Scheduler
 //!
-//! A process-wide pool is created lazily on first parallel use ([`pool`]).
-//! Each worker owns a deque; a batch submitter pushes `threads − 1`
+//! A process-wide pool is created lazily on first parallel use ([`pool`]),
+//! and its workers are spawned on demand: `threads − 1` of them, once a
+//! call at that thread count first needs them. Each worker owns a deque; a batch submitter pushes `threads − 1`
 //! *executor* jobs round-robin and then becomes an executor itself, each
 //! executor pulling chunk indices off the batch's shared counter until none
 //! remain — so at most the effective thread count of threads ever run one
@@ -271,20 +272,29 @@ mod tests {
     fn work_actually_lands_on_multiple_threads() {
         use std::collections::HashSet;
         use std::sync::Mutex;
+        use std::time::{Duration, Instant};
+        const THREADS: usize = 8;
         let ids = Mutex::new(HashSet::new());
-        with_threads(8, || {
-            (0..100_000u64).into_par_iter().for_each(|i| {
-                if i % 10_000 == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
+        let arrived = AtomicUsize::new(0);
+        // A shared deadline turns a missing executor into a failure, not a
+        // hang: once it passes, every waiting chunk gives up at once.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        with_threads(THREADS, || {
+            (0..THREADS).into_par_iter().with_min_len(1).for_each(|_| {
                 ids.lock().unwrap().insert(std::thread::current().id());
+                arrived.fetch_add(1, Ordering::SeqCst);
+                while arrived.load(Ordering::SeqCst) < THREADS && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
             });
         });
-        // The pool's capacity is ≥ 8 even on a single core, and the sleeps
-        // force overlap, so worker threads must actually join the submitter.
-        assert!(
-            ids.lock().unwrap().len() > 1,
-            "no worker thread ever ran a job"
+        // Each chunk holds its thread until all 8 have arrived, so 8 distinct
+        // ids need 8 executors at once: the submitter plus 7 pool workers,
+        // whatever the machine's core count.
+        assert_eq!(
+            ids.lock().unwrap().len(),
+            THREADS,
+            "an 8-thread install must run 8 OS threads at once"
         );
     }
 

@@ -2,8 +2,9 @@
 //!
 //! ## Architecture
 //!
-//! One process-wide pool is created lazily on first use. It owns `W` worker
-//! threads, each with its own mutex-protected deque of [`JobRef`]s. A thread
+//! One process-wide pool is created lazily on first use. It owns up to
+//! `capacity − 1` worker threads, each with its own mutex-protected deque of
+//! [`JobRef`]s, spawned on demand (see Sizing below). A thread
 //! submitting a batch of chunks pushes `effective_threads - 1` *executor*
 //! jobs across the worker deques, then becomes an executor itself: every
 //! executor pulls chunk indices off the batch's shared counter until none
@@ -38,14 +39,23 @@
 //!   [`configure_global`] (i.e. `ThreadPoolBuilder::build_global`), the
 //!   `PARCC_THREADS` env var, the `RAYON_NUM_THREADS` env var, then
 //!   [`std::thread::available_parallelism`].
-//! * The **pool capacity** is `max(default, 8)` so that explicit
-//!   `ThreadPoolBuilder::num_threads(k).build().install(..)` overrides can
-//!   exercise real concurrency (up to the capacity) even on small machines.
+//! * The **pool capacity** is `max(default, 8)`: the ceiling on what an
+//!   explicit `ThreadPoolBuilder::num_threads(k).build().install(..)` can
+//!   get, so installs exercise real concurrency (up to the capacity) even
+//!   on small machines. The pool pre-allocates `capacity − 1` deques with
+//!   their node grouping, but no threads.
 //! * The **effective thread count** ([`effective_threads`]) is the install
 //!   override when one is active on the current thread, else the default.
 //!   When it is 1, callers run everything inline on the current thread in
 //!   index order — bit-for-bit the schedule of the old sequential shim — and
-//!   the worker threads are never even spawned.
+//!   the pool is never touched.
+//! * **Workers are spawned lazily**, in deque order, pinned to their
+//!   deque's node. Before pushing, a batch or `join` at `t` effective
+//!   threads makes sure workers `0..t − 1` exist (a batch with fewer chunks
+//!   needs fewer). So a `--threads 2` process runs one worker, and the pool
+//!   grows to `capacity − 1` only once an install asks for that many.
+//!   Pushes and steals touch only the deques of workers that exist, so a
+//!   batch wakes and scans only the workers the widest call so far needed.
 //!
 //! Batches propagate the submitting thread's install override into their
 //! jobs, so nested parallel calls see the same effective thread count no
@@ -56,7 +66,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Once, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// A type-erased pointer to a job living in a submitting thread's stack.
 #[derive(Clone, Copy)]
@@ -90,6 +100,11 @@ struct Shared {
     node_queues: Vec<Vec<usize>>,
     /// Per-node round-robin push cursors.
     node_cursors: Vec<AtomicUsize>,
+    /// Workers spawned so far: queues `0..spawned` have a live worker.
+    /// Grows under `Pool::spawn_lock` and never shrinks. It is stored with
+    /// Release once the workers are spawned and read with Acquire, so a
+    /// thread that sees a count also sees that many workers spawned.
+    spawned: AtomicUsize,
     /// Jobs pushed but not yet popped (sleep/wake protocol).
     pending: AtomicUsize,
     /// Guards the park/notify handshake.
@@ -115,18 +130,26 @@ impl Shared {
         job
     }
 
+    /// `node`'s queues whose worker exists. Queue ids ascend within a
+    /// node and workers spawn in id order, so these form a prefix.
+    fn live_queues(&self, node: usize, spawned: usize) -> &[usize] {
+        let qs = &self.node_queues[node];
+        &qs[..qs.partition_point(|&q| q < spawned)]
+    }
+
     /// Pop any job, NUMA-locally: the caller's own deque from the front,
     /// then the rest of its home node's deques, then remote nodes — all
-    /// steals from the back.
+    /// steals from the back. Only live workers' deques can hold jobs.
     fn pop_job(&self, home: usize) -> Option<JobRef> {
         if let Some(job) = self.try_pop(home, true) {
             return Some(job);
         }
+        let spawned = self.spawned.load(Ordering::Acquire);
         let nodes = self.node_queues.len();
         let home_node = self.queue_node.get(home).copied().unwrap_or(0);
         for off in 0..nodes {
             let node = (home_node + off) % nodes;
-            for &q in &self.node_queues[node] {
+            for &q in self.live_queues(node, spawned) {
                 if q == home {
                     continue;
                 }
@@ -138,16 +161,19 @@ impl Shared {
         None
     }
 
-    /// Push one job onto `node`'s deques (round-robin within the node),
-    /// falling forward to the next populated node when `node` has none.
+    /// Push one job onto `node`'s live deques (round-robin within the
+    /// node), falling forward to the next node with a live worker when
+    /// `node` has none. Callers must have spawned at least one worker.
     /// Does not notify — callers batch the wakeup.
     fn push_to_node(&self, node: usize, job: JobRef) {
+        let spawned = self.spawned.load(Ordering::Acquire);
+        debug_assert!(spawned > 0, "push before any worker was spawned");
         let nodes = self.node_queues.len();
         let mut node = node % nodes;
-        while self.node_queues[node].is_empty() {
+        while self.live_queues(node, spawned).is_empty() {
             node = (node + 1) % nodes;
         }
-        let qs = &self.node_queues[node];
+        let qs = self.live_queues(node, spawned);
         let q = qs[self.node_cursors[node].fetch_add(1, Ordering::Relaxed) % qs.len()];
         self.pending.fetch_add(1, Ordering::Release);
         self.queues[q].lock().unwrap().push_back(job);
@@ -194,34 +220,55 @@ fn worker_loop(shared: Arc<Shared>, home: usize) {
 /// The process-wide pool.
 pub(crate) struct Pool {
     shared: Arc<Shared>,
-    /// Maximum executors (workers + the submitting thread).
+    /// Maximum executors (workers + the submitting thread): the most an
+    /// `install` can get.
     capacity: usize,
     /// Effective thread count when no install override is active.
     default_threads: usize,
-    start: Once,
+    /// Serialises worker spawning.
+    spawn_lock: Mutex<()>,
 }
 
 impl Pool {
-    /// Spawn the worker threads (idempotent). Deferred so that fully
-    /// sequential processes (`PARCC_THREADS=1` and no installs) never create
-    /// a single extra thread.
-    fn ensure_started(&'static self) {
-        self.start.call_once(|| {
-            for i in 0..self.shared.queues.len() {
-                let shared = Arc::clone(&self.shared);
-                let node = self.shared.queue_node[i];
-                std::thread::Builder::new()
-                    .name(format!("parcc-worker-{i}"))
-                    .spawn(move || {
-                        crate::topology::set_current_node(node);
-                        // Advisory: an EINVAL/EPERM here just leaves the
-                        // worker unpinned.
-                        crate::topology::pin_current_thread(node);
-                        worker_loop(shared, i);
-                    })
-                    .expect("failed to spawn pool worker");
-            }
-        });
+    /// Make sure workers `0..want` exist, spawning the missing ones. Called
+    /// before every push, so a pool only ever has as many workers as the
+    /// widest parallel call so far asked for, and fully sequential
+    /// processes (`PARCC_THREADS=1` and no installs) never create one.
+    fn ensure_workers(&'static self, want: usize) {
+        if self.shared.spawned.load(Ordering::Acquire) < want {
+            self.spawn_workers(want);
+        }
+    }
+
+    /// Slow path of [`Self::ensure_workers`]: under the spawn lock, spawn
+    /// the missing workers in index order, each pinned to its deque's node,
+    /// then publish the new count.
+    #[cold]
+    #[inline(never)]
+    fn spawn_workers(&'static self, want: usize) {
+        let shared = &self.shared;
+        let _guard = self
+            .spawn_lock
+            .lock()
+            .expect("an earlier worker spawn failed while holding the spawn lock");
+        let have = shared.spawned.load(Ordering::Acquire);
+        for i in have..want {
+            let shared = Arc::clone(shared);
+            let node = shared.queue_node[i];
+            std::thread::Builder::new()
+                .name(format!("parcc-worker-{i}"))
+                .spawn(move || {
+                    crate::topology::set_current_node(node);
+                    // Advisory: an EINVAL/EPERM here just leaves the
+                    // worker unpinned.
+                    crate::topology::pin_current_thread(node);
+                    worker_loop(shared, i);
+                })
+                .expect("failed to spawn pool worker");
+        }
+        if want > have {
+            shared.spawned.store(want, Ordering::Release);
+        }
     }
 }
 
@@ -271,7 +318,8 @@ fn global() -> &'static Pool {
             n => n,
         };
         // Capacity ≥ 8 lets explicit installs exercise real concurrency on
-        // small machines; idle workers park and cost nothing.
+        // small machines. Only the deques are allocated here: workers are
+        // spawned when a parallel call first needs them.
         let capacity = default_threads.max(8);
         let queues: Vec<_> = (0..capacity - 1)
             .map(|_| Mutex::new(VecDeque::new()))
@@ -291,6 +339,7 @@ fn global() -> &'static Pool {
                 queue_node,
                 node_queues,
                 node_cursors,
+                spawned: AtomicUsize::new(0),
                 pending: AtomicUsize::new(0),
                 gate: Mutex::new(()),
                 cond: Condvar::new(),
@@ -298,7 +347,7 @@ fn global() -> &'static Pool {
             }),
             capacity,
             default_threads,
-            start: Once::new(),
+            spawn_lock: Mutex::new(()),
         }
     })
 }
@@ -453,7 +502,7 @@ pub(crate) fn run_batch<F: Fn(usize) + Sync>(chunks: usize, f: F) {
         return;
     }
     let pool = global();
-    pool.ensure_started();
+    pool.ensure_workers(helpers);
     let shared: &'static Shared = &pool.shared;
     let state = BatchState {
         next: AtomicUsize::new(0),
@@ -582,7 +631,7 @@ pub(crate) fn run_batch_sticky<F: Fn(usize) + Sync>(chunks: usize, f: F) {
         return;
     }
     let pool = global();
-    pool.ensure_started();
+    pool.ensure_workers(helpers);
     let shared: &'static Shared = &pool.shared;
     let groups = shared.node_queues.len().max(1);
     let bands: Vec<(usize, usize)> = (0..groups)
@@ -689,13 +738,16 @@ where
     RA: Send,
     RB: Send,
 {
-    if effective_threads() <= 1 {
+    let threads = effective_threads();
+    if threads <= 1 {
         let ra = oper_a();
         let rb = oper_b();
         return (ra, rb);
     }
     let pool = global();
-    pool.ensure_started();
+    // A join pushes one job, but joins nest: size the pool for the whole
+    // effective thread count, as a batch of that width would.
+    pool.ensure_workers(threads - 1);
     let shared: &'static Shared = &pool.shared;
     let task = JoinTask::<B, RB> {
         b: std::cell::UnsafeCell::new(Some(oper_b)),

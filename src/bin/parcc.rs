@@ -761,6 +761,21 @@ fn cmd_gen(args: &[String], shards: Option<&str>) -> Result<(), String> {
             k
         }
     };
+    // Vertex ids are u32. Refuse a larger graph before building anything:
+    // the generators would wrap ids, or allocate for billions of edges,
+    // before `Graph::new` could assert. mesh2d's <n> is the side.
+    let vertices = if family == "mesh2d" {
+        n.checked_mul(n)
+    } else {
+        Some(n)
+    };
+    if vertices.is_none_or(|v| v > u32::MAX as usize) {
+        eprintln!(
+            "error: gen {family} {n} needs more than {} vertices (ids are u32)",
+            u32::MAX
+        );
+        std::process::exit(2);
+    }
     if rest.get(2).is_some() && matches!(family.as_str(), "cycle" | "path" | "mesh2d") {
         eprintln!("note: avg-deg is ignored for {family} (degree is structural)");
     }

@@ -115,6 +115,18 @@ fn bad_invocations_fail_cleanly() {
             "{args:?} must print the usage: {err}"
         );
     }
+    // Vertex ids are u32: gen refuses a larger graph before building it
+    // (mesh2d's size is the side, so 65536² = 2^32 vertices).
+    for args in [
+        &["gen", "mesh2d", "65536"][..],
+        &["gen", "path", "4294967297"][..],
+    ] {
+        let out = parcc_bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.starts_with("error:"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} must emit no edges");
+    }
     let out = parcc_bin()
         .args(["stats", "/nonexistent/graph.txt"])
         .output()

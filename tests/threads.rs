@@ -25,7 +25,9 @@ use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Run `f` with the effective thread count pinned to `k` (clamped to the
-/// pool capacity, which is ≥ 8 even on single-core machines).
+/// pool capacity, which is ≥ 8 even on single-core machines). The pool
+/// spawns workers on first need, so an 8-thread install runs 7 of them
+/// beside the caller: real 8-way concurrency on any machine.
 fn with_threads<T>(k: usize, f: impl FnOnce() -> T) -> T {
     rayon::ThreadPoolBuilder::new()
         .num_threads(k)
