@@ -24,8 +24,21 @@
 //!
 //! The remaining elections (Steps 5, 6 and 8) only detect whether a vertex
 //! has more than one arc, which does not depend on who wins, and their
-//! hooks each have a single writer. The nine steps run as 11 fused passes
-//! over the edges; each pass only reads what earlier passes finished.
+//! hooks each have a single writer.
+//!
+//! ## Passes
+//!
+//! After Step 1's deletions, four passes scan E: Step 3's write, Step 3's
+//! check, Step 4's singleton hook and Step 9's shortcut. After Step 3 only
+//! D's arcs are live, at most one per tail, so Step 3's check collects them
+//! as a list of edge indices and Steps 5–8 run as seven passes over that
+//! list: Step 5's check, Step 5's prune with Step 6's write, Step 6's
+//! check, Step 6's hook, Step 6's prune with Step 7's coin and Step 8's
+//! write, Step 8's check and Step 8's hook. The two prunes compact the list
+//! in place, in index order, so the hooked list comes out in edge-index
+//! order within each step. Each pass only reads what earlier passes
+//! finished. Every arc of D has a non-singleton head, so Step 3's check
+//! also casts its Step-5 vote.
 //!
 //! ## Cell lifetimes
 //!
@@ -39,9 +52,10 @@
 //! outcome is that of the plain check. The five flags are epoch bytes
 //! under the call's epoch ([`Stage1Scratch::epoch_for`]), so flags from
 //! earlier calls read as clear. The hooked list comes from the hook passes
-//! themselves: Steps 6 and 8 have one writer per hooked vertex, and Step
-//! 4's many offers into one singleton report it once, through a claim on
-//! `update_log` under the call's tag.
+//! themselves: Steps 6 and 8 have one writer per hooked vertex. A singleton
+//! hooked in Step 4 is reported by its smallest-index arc, elected in
+//! `in_winner` (a singleton is never a head in D, so its cell is free) and
+//! checked in Step 9, so the list's order does not depend on the schedule.
 
 use crate::stage1::scratch::Stage1Scratch;
 use parcc_pram::cost::CostTracker;
@@ -50,12 +64,17 @@ use parcc_pram::forest::ParentForest;
 use parcc_pram::primitives::retain;
 use parcc_pram::rng::Stream;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Run MATCHING(E). `edges` is filtered in place (Step 1's deletions);
-/// the vertices hooked are returned, each once. `tag` must come fresh from
-/// `scratch.next_tag()`. Charges `O(|E|)` work at `O(1)` depth. Edge
-/// indices must fit in 32 bits (the Step-3 election key).
+/// the vertices hooked are returned, each once: Step 4's singletons, then
+/// Step 6's absorbed tails, then Step 8's isolated heads, each step's in
+/// the order of the edge that hooks it. `tag` must come fresh from
+/// `scratch.next_tag()`. Charges `O(|E|)` work at `O(1)` depth.
+///
+/// # Panics
+///
+/// If more than `u32::MAX` edges survive Step 1: the Step-3 key and D's
+/// arc list hold edge indices in 32 bits.
 pub fn matching(
     edges: &mut Vec<Edge>,
     forest: &ParentForest,
@@ -73,78 +92,89 @@ pub fn matching(
     if edges.is_empty() {
         return Vec::new();
     }
+    let edges: &[Edge] = edges;
     let m = edges.len();
-    debug_assert!(m <= u32::MAX as usize, "edge index must fit the Step-3 key");
+    assert!(
+        u32::try_from(m).is_ok(),
+        "MATCHING indexes its edges in 32 bits, got {m} edges"
+    );
     tracker.charge(m as u64 * 9, 9);
     let epoch = scratch.epoch_for(tag, tracker);
+    // The charge above pays for every pass, the arc-list compactions
+    // included.
+    let uncharged = CostTracker::new();
 
     // Step 2: orient each edge from the large end to the small end.
     let tail = |e: Edge| e.u().max(e.v()) as usize;
     let head = |e: Edge| e.u().min(e.v()) as usize;
     let key = |i: usize, e: Edge| (head(e) as u64) << 32 | i as u64;
-    let mut in_d = Vec::with_capacity(m);
-    in_d.resize_with(m, || AtomicBool::new(true));
-    let live = |i: usize| in_d[i].load(Ordering::Relaxed);
-    let remove = |i: usize| in_d[i].store(false, Ordering::Relaxed);
+    let arc = |i: u32| {
+        let e = edges[i as usize];
+        (tail(e), head(e))
+    };
 
     // Step 3: each tail keeps its arc to the smallest head.
     edges.par_iter().enumerate().for_each(|(i, &e)| {
         scratch.out_winner.write_min(tail(e), key(i, e));
     });
-    // Step 3 check; Step 4 marks the ends of D's surviving arcs.
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if scratch.out_winner.check_clear(tail(e), key(i, e)) {
-            scratch.non_singleton.set(tail(e), epoch);
-            scratch.non_singleton.set(head(e), epoch);
-        } else {
-            remove(i);
-        }
-    });
-    // Step 4: hook each singleton head under its largest tail. Step 5
-    // write: roots with >1 incoming arcs lose all their outgoing arcs.
-    let singletons: Vec<Vertex> = edges
+    // Step 3 check: the winners are D. Step 4 marks their ends; Step 5
+    // write: each arc votes for its head.
+    let mut arcs: Vec<u32> = edges
         .par_iter()
         .enumerate()
         .filter_map(|(i, &e)| {
             let (t, h) = (tail(e), head(e));
-            if !scratch.non_singleton.get(h, epoch) {
-                forest.offer_parent_max(h as Vertex, t as Vertex);
-                return scratch.update_log.claim_tag(h, tag).then_some(h as Vertex);
-            }
-            if live(i) {
+            scratch.out_winner.check_clear(t, key(i, e)).then(|| {
+                scratch.non_singleton.set(t, epoch);
+                scratch.non_singleton.set(h, epoch);
                 scratch.in_winner.write_vacant(h, i as u64);
-            }
-            None
+                i as u32
+            })
         })
         .collect();
+    // Step 4: hook each singleton head under its largest tail; its
+    // smallest-index arc will report it in Step 9.
     edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i) && !scratch.in_winner.check_clear(head(e), i as u64) {
-            scratch.multi_in.set(head(e), epoch);
+        let h = head(e);
+        if !scratch.non_singleton.get(h, epoch) {
+            forest.offer_parent_max(h as Vertex, tail(e) as Vertex);
+            scratch.in_winner.write_min(h, i as u64);
+        }
+    });
+    // Step 5 check: roots with >1 incoming arcs lose all their outgoing
+    // arcs.
+    arcs.par_iter().for_each(|&i| {
+        let (_, h) = arc(i);
+        if !scratch.in_winner.check_clear(h, u64::from(i)) {
+            scratch.multi_in.set(h, epoch);
         }
     });
     // Step 5 prune; Step 6 write: re-detect multi-in heads on the pruned D.
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i) {
-            if scratch.multi_in.get(tail(e), epoch) {
-                remove(i);
-            } else {
-                scratch.in_winner2.write_vacant(head(e), i as u64);
+    retain(
+        &mut arcs,
+        |&i| {
+            let (t, h) = arc(i);
+            let keep = !scratch.multi_in.get(t, epoch);
+            if keep {
+                scratch.in_winner2.write_vacant(h, u64::from(i));
             }
-        }
-    });
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i) && !scratch.in_winner2.check_clear(head(e), i as u64) {
-            scratch.multi_in2.set(head(e), epoch);
+            keep
+        },
+        &uncharged,
+    );
+    arcs.par_iter().for_each(|&i| {
+        let (_, h) = arc(i);
+        if !scratch.in_winner2.check_clear(h, u64::from(i)) {
+            scratch.multi_in2.set(h, epoch);
         }
     });
     // Step 6 hook: multi-in heads absorb all their in-neighbours, which
     // leave D. A tail has one arc left, so one writer per hooked vertex.
-    let absorbed: Vec<Vertex> = edges
+    let absorbed: Vec<Vertex> = arcs
         .par_iter()
-        .enumerate()
-        .filter_map(|(i, &e)| {
-            let (t, h) = (tail(e), head(e));
-            (live(i) && scratch.multi_in2.get(h, epoch)).then(|| {
+        .filter_map(|&i| {
+            let (t, h) = arc(i);
+            scratch.multi_in2.get(h, epoch).then(|| {
                 forest.set_parent(t as Vertex, h as Vertex);
                 scratch.deleted.set(t, epoch);
                 t as Vertex
@@ -154,48 +184,58 @@ pub fn matching(
     // Step 6 prune; Step 7 deletes each remaining arc with probability 1/2;
     // Step 8 write: isolated arcs are found by write-then-verify, where any
     // losing arc marks the shared end.
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i) {
-            let (t, h) = (tail(e), head(e));
-            if scratch.deleted.get(t, epoch)
+    retain(
+        &mut arcs,
+        |&i| {
+            let (t, h) = arc(i);
+            let keep = !(scratch.deleted.get(t, epoch)
                 || scratch.deleted.get(h, epoch)
-                || stream.coin(i as u64, 0.5)
-            {
-                remove(i);
-            } else {
-                scratch.end_mark.write_vacant(t, i as u64);
-                scratch.end_mark.write_vacant(h, i as u64);
+                || stream.coin(u64::from(i), 0.5));
+            if keep {
+                scratch.end_mark.write_vacant(t, u64::from(i));
+                scratch.end_mark.write_vacant(h, u64::from(i));
             }
-        }
-    });
-    edges.par_iter().enumerate().for_each(|(i, &e)| {
-        if live(i) {
-            for v in [tail(e), head(e)] {
-                if !scratch.end_mark.check_clear(v, i as u64) {
-                    scratch.shared.set(v, epoch);
-                }
+            keep
+        },
+        &uncharged,
+    );
+    arcs.par_iter().for_each(|&i| {
+        let (t, h) = arc(i);
+        for v in [t, h] {
+            if !scratch.end_mark.check_clear(v, u64::from(i)) {
+                scratch.shared.set(v, epoch);
             }
         }
     });
     // Step 8 hook: isolated arcs hook their head under their tail; an
     // unshared head has this one arc, so one writer per hooked vertex.
-    let isolated: Vec<Vertex> = edges
+    let isolated: Vec<Vertex> = arcs
         .par_iter()
-        .enumerate()
-        .filter_map(|(i, &e)| {
-            let (t, h) = (tail(e), head(e));
-            (live(i) && !scratch.shared.get(t, epoch) && !scratch.shared.get(h, epoch)).then(|| {
+        .filter_map(|&i| {
+            let (t, h) = arc(i);
+            (!scratch.shared.get(t, epoch) && !scratch.shared.get(h, epoch)).then(|| {
                 forest.set_parent(h as Vertex, t as Vertex);
                 h as Vertex
             })
         })
         .collect();
 
-    // Step 9: both ends of every edge shortcut once.
-    edges.par_iter().for_each(|&e| {
-        forest.shortcut_vertex(e.u());
-        forest.shortcut_vertex(e.v());
-    });
+    // Step 9: both ends of every edge shortcut once. Step 4's report:
+    // Step 5's check emptied the `in_winner` cell of every head in D, so
+    // only singletons' cells are occupied, each by the arc that reports it.
+    let singletons: Vec<Vertex> = edges
+        .par_iter()
+        .enumerate()
+        .filter_map(|(i, &e)| {
+            forest.shortcut_vertex(e.u());
+            forest.shortcut_vertex(e.v());
+            let h = head(e);
+            scratch
+                .in_winner
+                .check_clear(h, i as u64)
+                .then_some(h as Vertex)
+        })
+        .collect();
 
     let mut hooked = Vec::with_capacity(singletons.len() + absorbed.len() + isolated.len());
     for part in [singletons, absorbed, isolated] {
@@ -468,6 +508,200 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// Sequential MATCHING in the paper's form: each step is a full pass
+    /// over every edge with a per-edge live flag, and plain per-vertex
+    /// counts stand in for the CRCW elections. Hooks into `parent` and
+    /// returns the edges left by Step 1 and the hooked list.
+    fn reference_matching(
+        parent: &mut [Vertex],
+        edges: &[Edge],
+        stream: Stream,
+    ) -> (Vec<Edge>, Vec<Vertex>) {
+        let n = parent.len();
+        // Step 1: drop loops and edges touching non-roots.
+        let edges: Vec<Edge> = edges
+            .iter()
+            .copied()
+            .filter(|e| {
+                parent[e.u() as usize] == e.u() && parent[e.v() as usize] == e.v() && !e.is_loop()
+            })
+            .collect();
+        // Step 2: orient from the large end to the small end.
+        let arcs: Vec<(usize, usize)> = edges
+            .iter()
+            .map(|e| (e.u().max(e.v()) as usize, e.u().min(e.v()) as usize))
+            .collect();
+        // Step 3: each tail keeps its arc to the smallest head, ties to the
+        // smallest index.
+        let mut best = vec![(usize::MAX, usize::MAX); n];
+        for (i, &(t, h)) in arcs.iter().enumerate() {
+            best[t] = best[t].min((h, i));
+        }
+        let mut live: Vec<bool> = arcs
+            .iter()
+            .enumerate()
+            .map(|(i, &(t, h))| best[t] == (h, i))
+            .collect();
+        // Step 4: a head touching no arc of D hooks under its largest tail.
+        let mut in_d = vec![false; n];
+        for (i, &(t, h)) in arcs.iter().enumerate() {
+            if live[i] {
+                in_d[t] = true;
+                in_d[h] = true;
+            }
+        }
+        let mut singletons = Vec::new();
+        for &(t, h) in &arcs {
+            if !in_d[h] {
+                if parent[h] == h as Vertex {
+                    singletons.push(h as Vertex);
+                }
+                parent[h] = parent[h].max(t as Vertex);
+            }
+        }
+        let in_degree = |live: &[bool]| {
+            let mut d = vec![0u32; n];
+            for (i, &(_, h)) in arcs.iter().enumerate() {
+                d[h] += u32::from(live[i]);
+            }
+            d
+        };
+        // Step 5: a root with more than one in-arc loses its out-arc.
+        let d5 = in_degree(&live);
+        for (i, &(t, _)) in arcs.iter().enumerate() {
+            if d5[t] > 1 {
+                live[i] = false;
+            }
+        }
+        // Step 6: heads still with more than one in-arc absorb their
+        // in-neighbours, and both leave D.
+        let d6 = in_degree(&live);
+        let mut deleted = vec![false; n];
+        let mut absorbed = Vec::new();
+        for (i, &(t, h)) in arcs.iter().enumerate() {
+            if live[i] && d6[h] > 1 {
+                parent[t] = h as Vertex;
+                deleted[t] = true;
+                absorbed.push(t as Vertex);
+            }
+        }
+        for (i, &(t, h)) in arcs.iter().enumerate() {
+            if deleted[t] || deleted[h] {
+                live[i] = false;
+            }
+        }
+        // Step 7: delete each arc with probability 1/2.
+        for (i, l) in live.iter_mut().enumerate() {
+            if stream.coin(i as u64, 0.5) {
+                *l = false;
+            }
+        }
+        // Step 8: an arc sharing neither end hooks its head under its tail.
+        let mut degree = vec![0u32; n];
+        for (i, &(t, h)) in arcs.iter().enumerate() {
+            if live[i] {
+                degree[t] += 1;
+                degree[h] += 1;
+            }
+        }
+        let mut isolated = Vec::new();
+        for (i, &(t, h)) in arcs.iter().enumerate() {
+            if live[i] && degree[t] == 1 && degree[h] == 1 {
+                parent[h] = t as Vertex;
+                isolated.push(h as Vertex);
+            }
+        }
+        // Step 9: both ends of every edge shortcut once.
+        for e in &edges {
+            for v in [e.u() as usize, e.v() as usize] {
+                parent[v] = parent[parent[v] as usize];
+            }
+        }
+        (edges, [singletons, absorbed, isolated].concat())
+    }
+
+    /// A shuffled multigraph on `n` vertices with what MATCHING's
+    /// elections must resolve: random pairs repeated up to 6 times, hub
+    /// stars whose arcs point both in and out, loops, and isolated pairs
+    /// (parallel ones too) on the top 2,000 ids.
+    fn mixed_multigraph(n: usize, seed: u64) -> Vec<(u32, u32)> {
+        let s = Stream::new(seed, 0x6d69);
+        let mut draws = 0;
+        let mut below = |bound: u32| {
+            draws += 1;
+            s.below(draws, u64::from(bound)) as u32
+        };
+        let core = n as u32 - 2000;
+        let mut pairs = Vec::new();
+        for _ in 0..core {
+            let (a, b) = (below(core), below(core));
+            for _ in 0..=below(6) {
+                pairs.push((a, b));
+            }
+        }
+        for hub in [0, 1, core - 1] {
+            for _ in 0..400 {
+                let leaf = below(core);
+                pairs.extend([(hub, leaf), (leaf, hub)]);
+            }
+        }
+        pairs.extend((0..core).step_by(101).map(|v| (v, v)));
+        for a in (core..n as u32).step_by(2) {
+            for _ in 0..=below(3) {
+                pairs.push((a, a + 1));
+            }
+        }
+        for i in (1..pairs.len()).rev() {
+            pairs.swap(i, below(i as u32 + 1) as usize);
+        }
+        pairs
+    }
+
+    #[test]
+    fn matches_the_sequential_reference_at_any_thread_count() {
+        let n = 20_000;
+        for seed in 0..3u64 {
+            let edges: Vec<Edge> = mixed_multigraph(n, seed)
+                .into_iter()
+                .map(|(u, v)| Edge::new(u, v))
+                .collect();
+            // A few vertices hooked before the call: Step 1 drops their edges.
+            let prehooked: Vec<Vertex> = (50..n as Vertex).step_by(97).collect();
+            let stream = Stream::new(seed, 0x7e57);
+            let mut parent: Vec<Vertex> = (0..n as Vertex).collect();
+            for &v in &prehooked {
+                parent[v as usize] = 0;
+            }
+            let (want_edges, want_hooked) = reference_matching(&mut parent, &edges, stream);
+            assert!(want_hooked.len() > n / 10, "seed {seed}: too few hooks");
+            for k in [1, 2, 8] {
+                let (forest, got_edges, got_hooked) = with_threads(k, || {
+                    let forest = ParentForest::new(n);
+                    for &v in &prehooked {
+                        forest.set_parent(v, 0);
+                    }
+                    let scratch = Stage1Scratch::new(n);
+                    let mut e = edges.clone();
+                    let hooked = matching(
+                        &mut e,
+                        &forest,
+                        &scratch,
+                        stream,
+                        scratch.next_tag(),
+                        &CostTracker::new(),
+                    );
+                    (forest.snapshot(), e, hooked)
+                });
+                assert!(forest == parent, "seed {seed}, {k} threads: forest");
+                assert!(got_edges == want_edges, "seed {seed}, {k} threads: edges");
+                assert!(
+                    got_hooked == want_hooked,
+                    "seed {seed}, {k} threads: hooked list"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Shared scratch memory for Stage 1.
 //!
-//! MATCHING is invoked hundreds of times per run; its per-vertex CRCW cells
-//! are allocated once here and never cleared between calls (the paper's
-//! processors likewise reuse indexed blocks). Each election cell is emptied
-//! by its winner in the pass that checks it, and each flag is an epoch byte
-//! that only reads as set under the call that set it, so a call pays for
-//! the vertices it touches and nothing more. Epochs come from the call's
-//! tag (see [`Stage1Scratch::epoch_for`]); the update log keeps whole tags,
-//! which increase monotonically, so stale entries are never mistaken for
-//! current ones.
+//! MATCHING runs many times per solve (Stage 1 alone makes up to 26 calls
+//! on a 200k-vertex powerlaw graph, and the phase loop makes more); its
+//! per-vertex CRCW cells are allocated once here and never cleared between
+//! calls (the paper's processors likewise reuse indexed blocks). Each
+//! election cell is emptied by its winner in the pass that checks it, and
+//! each flag is an epoch byte that only reads as set under the call that
+//! set it, so a call pays for the vertices it touches and nothing more.
+//! Epochs come from the call's tag (see [`Stage1Scratch::epoch_for`]).
 
 use parcc_pram::cost::CostTracker;
 use parcc_pram::crcw::{EpochFlags, Flags, TagCells};
@@ -22,7 +21,8 @@ const EPOCHS: u64 = u8::MAX as u64;
 pub struct Stage1Scratch {
     /// Winner of the outgoing-arc election (Step 3).
     pub out_winner: TagCells,
-    /// Winner of the incoming-arc election (Steps 5 and 6).
+    /// Winner of the incoming-arc election (Step 5), and of the
+    /// smallest-index arc into each Step-4 singleton, which reports it.
     pub in_winner: TagCells,
     /// Second incoming-arc election (Step 6 re-detects after Step 5).
     pub in_winner2: TagCells,
@@ -42,9 +42,6 @@ pub struct Stage1Scratch {
     pub vert_mark: TagCells,
     /// Membership marks for `V'` in EXTRACT/REDUCE.
     pub in_vprime: Flags,
-    /// Step-4 hook log: `update_log[v] = tag` once MATCHING call `tag` has
-    /// reported the singleton `v` as hooked.
-    pub update_log: TagCells,
     tag_counter: AtomicU64,
     /// The tag cycle (`tag / EPOCHS`) the epoch flags currently belong to.
     /// Only the calling thread touches it, between parallel passes.
@@ -67,13 +64,12 @@ impl Stage1Scratch {
             shared: EpochFlags::new(n),
             vert_mark: TagCells::new(n),
             in_vprime: Flags::new(n),
-            update_log: TagCells::new(n),
             tag_counter: AtomicU64::new(1),
             epoch_cycle: AtomicU64::new(0),
         }
     }
 
-    /// A fresh, never-before-used tag for hook logging.
+    /// A fresh, never-before-used tag for a MATCHING call.
     pub fn next_tag(&self) -> u64 {
         self.tag_counter.fetch_add(1, Ordering::Relaxed)
     }

@@ -189,23 +189,6 @@ impl TagCells {
         won
     }
 
-    /// Move the cell to `tag` and report whether this caller moved it:
-    /// among concurrent callers with the same `tag`, exactly one per cell
-    /// returns true. A cell already at `tag` fails on the load, without a
-    /// compare-exchange.
-    #[inline]
-    pub fn claim_tag(&self, i: usize, tag: u64) -> bool {
-        let cell = &self.cells[i];
-        let mut cur = cell.load(Ordering::Relaxed);
-        while cur != tag {
-            match cell.compare_exchange_weak(cur, tag, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return true,
-                Err(now) => cur = now,
-            }
-        }
-        false
-    }
-
     /// Is the cell unoccupied?
     #[inline]
     #[must_use]
@@ -677,19 +660,6 @@ mod tests {
             .count();
         assert_eq!(winners, cells);
         assert!((0..cells).all(|i| t.vacant(i)));
-    }
-
-    #[test]
-    fn claim_tag_has_one_winner_per_cell_and_tag() {
-        let t = TagCells::new(4);
-        for tag in [7u64, 8] {
-            let winners: Vec<u64> = (0..2000u64)
-                .into_par_iter()
-                .filter(|&i| t.claim_tag(i as usize % 4, tag))
-                .collect();
-            assert_eq!(winners.len(), 4, "tag {tag}");
-            assert!((0..4).all(|i| t.read(i) == tag));
-        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! claims — steady-state LTZ rounds and warm-arena primitive passes
 //! perform **zero** heap allocations under the sequential (1-thread)
 //! schedule, whole LTZ solves allocate a near-constant count whatever n,
+//! a MATCHING call's peak memory follows its arcs rather than its edges,
 //! and the parallel paths make bounded scheduler-only allocations.
 //!
 //! Everything lives in **one** `#[test]` function: the counters are
@@ -199,6 +200,50 @@ fn hybrid_compress_allocates_only_its_labels() {
     });
 }
 
+/// MATCHING keeps D's arcs, at most one per tail, rather than a flag per
+/// edge: on 400k edges over 1,000 vertices (2,000 distinct pairs, each
+/// repeated 200 times) a warm call peaks only a few KiB above what was
+/// live when it started.
+fn matching_memory_scales_with_its_arcs_not_its_edges() {
+    use parcc::core::stage1::{matching, Stage1Scratch};
+    run_single_threaded(|| {
+        let n = 1000;
+        let s = Stream::new(11, 11);
+        let edges: Vec<Edge> = (0..400_000u64)
+            .map(|i| {
+                let pair = i % 2000;
+                Edge::new(
+                    s.below(2 * pair, n as u64) as u32,
+                    s.below(2 * pair + 1, n as u64) as u32,
+                )
+            })
+            .collect();
+        let scratch = Stage1Scratch::new(n);
+        let tracker = CostTracker::new();
+        let call = |edges: &mut Vec<Edge>, forest: &ParentForest| {
+            matching(
+                edges,
+                forest,
+                &scratch,
+                Stream::new(3, 3),
+                scratch.next_tag(),
+                &tracker,
+            )
+        };
+        drop(call(&mut edges.clone(), &ParentForest::new(n)));
+        let (mut work, forest) = (edges.clone(), ParentForest::new(n));
+        alloc_track::reset_peak();
+        let entry = alloc_track::live_bytes();
+        let hooked = call(&mut work, &forest);
+        let extra = alloc_track::peak_bytes() - entry;
+        assert!(!hooked.is_empty(), "the call must hook something");
+        assert!(
+            extra < 64 << 10,
+            "a warm MATCHING call on 400k edges peaked {extra} bytes above its entry"
+        );
+    });
+}
+
 fn parallel_hot_paths_never_allocate_proportionally_to_m() {
     // At the ambient thread count (could be > 1 under PARCC_THREADS=4) the
     // pool's per-batch bookkeeping may allocate, but never O(m) data:
@@ -251,5 +296,6 @@ fn hot_paths_hold_their_allocation_budget() {
     warm_label_prop_sweeps_are_allocation_free();
     ltz_table_activation_does_not_allocate_per_vertex();
     hybrid_compress_allocates_only_its_labels();
+    matching_memory_scales_with_its_arcs_not_its_edges();
     parallel_hot_paths_never_allocate_proportionally_to_m();
 }
