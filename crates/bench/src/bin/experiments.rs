@@ -42,6 +42,5 @@ fn main() {
     run("e15", ex::e15_sharded_storage);
     run("e17", ex::e17_serve_mixed);
     run("e18", ex::e18_store);
-    run("e20", ex::e20_topology);
     run("e21", ex::e21_durability);
 }

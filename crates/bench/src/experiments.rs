@@ -882,81 +882,6 @@ pub fn e18_store(quick: bool) -> Table {
     t
 }
 
-/// E20: topology-aware scaling — the default solver on a sharded store
-/// (the sticky-affinity path) swept over worker-pool sizes, reporting
-/// wall, speedup vs the 1-thread run, and parallel efficiency
-/// (speedup / threads). The title carries the detected topology; when
-/// `PARCC_E20_JSON` names a path, the same rows are also written there as
-/// JSON (CI's scaling-smoke job uploads it as `BENCH_topology.json`).
-#[must_use]
-pub fn e20_topology(quick: bool) -> Table {
-    let topo = rayon::topology::current();
-    let mut t = Table::new(
-        format!(
-            "E20 — topology-aware scaling: NUMA-local stealing + sticky shards ({})",
-            topo.summary()
-        ),
-        &["threads", "n", "m", "wall ms", "speedup", "efficiency"],
-    );
-    let n = if quick { 1 << 15 } else { 1 << 19 };
-    let g = gen::random_regular(n, 8, 5);
-    let sg = ShardedGraph::from_graph(&g, 8);
-    let solver = parcc_solver::default_solver();
-    // 1/2/4 always (the CI gate reads the 4-thread row), then keep
-    // doubling while the machine has the cores to back it.
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let mut counts = vec![1usize, 2, 4];
-    while counts.last().copied().unwrap_or(4) * 2 <= cores {
-        counts.push(counts.last().unwrap() * 2);
-    }
-    let mut base_ms = 0.0;
-    let mut json_rows = Vec::new();
-    for &k in &counts {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(k)
-            .build()
-            .expect("pool");
-        // Warm-up ride along: best of 3 keeps the cold first solve out.
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            pool.install(|| {
-                let _ = solver.solve_store(&sg, &SolveCtx::with_seed(5));
-            });
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        if k == 1 {
-            base_ms = best;
-        }
-        let speedup = base_ms / best.max(1e-9);
-        t.row(vec![
-            k.to_string(),
-            g.n().to_string(),
-            g.m().to_string(),
-            f(best),
-            f(speedup),
-            f(speedup / k as f64),
-        ]);
-        json_rows.push(format!(
-            "    {{\"threads\": {k}, \"wall_ms\": {best:.3}, \"speedup\": {speedup:.3}, \"efficiency\": {:.3}}}",
-            speedup / k as f64
-        ));
-    }
-    if let Ok(path) = std::env::var("PARCC_E20_JSON") {
-        let body = format!(
-            "{{\n  \"workload\": \"expander n={} d=8 (sharded x8), seed 5, best of 3\",\n  \"topology\": \"{}\",\n  \"pinning\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            g.n(),
-            topo.summary(),
-            rayon::topology::pinning_enabled(),
-            json_rows.join(",\n")
-        );
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("warning: cannot write {path}: {e}");
-        }
-    }
-    t
-}
-
 /// E21 (ISSUE 10): the durability tax. The serve commit path is timed
 /// with the write-ahead log disabled, appending without fsync (`off`),
 /// fsyncing on a 100 ms clock (`interval`), and fsyncing every batch
@@ -1089,7 +1014,6 @@ pub fn all(quick: bool) -> Vec<Table> {
         e15_sharded_storage(quick),
         e17_serve_mixed(quick),
         e18_store(quick),
-        e20_topology(quick),
         e21_durability(quick),
     ]
 }
@@ -1107,7 +1031,7 @@ mod tests {
     fn quick_experiments_produce_rows() {
         // Runs the full quick suite once; asserts every table has data.
         let tables = super::all(true);
-        assert_eq!(tables.len(), 19);
+        assert_eq!(tables.len(), 18);
         for t in &tables {
             assert!(!t.rows.is_empty(), "{} has no rows", t.title);
         }

@@ -272,10 +272,9 @@ impl GraphStore for ShardedGraph {
         ShardedGraph::shard(self, i)
     }
 
-    /// Per-shard private histograms built sticky-scheduled (shard `i` on
-    /// its stable node group) and summed in shard order — integer sums
-    /// commute, so the result is identical to the flat graph's at any
-    /// thread count. Cached.
+    /// Per-shard private histograms built in parallel and summed in shard
+    /// order — integer sums commute, so the result is identical to the flat
+    /// graph's at any thread count. Cached.
     fn degrees(&self) -> &[u32] {
         self.degrees.get_or_init(|| {
             merge_degree_histograms(self.n, par_map_shards(self, shard_histogram(self.n)))
@@ -283,7 +282,7 @@ impl GraphStore for ShardedGraph {
     }
 
     /// Parallel per-shard CSR build: every shard expands its edges into
-    /// directed half-edges (sticky-scheduled), the per-shard halves are
+    /// directed half-edges (in parallel), the per-shard halves are
     /// concatenated in shard order, and offsets come from the lazily
     /// merged degree vector. Same packing and finish as the flat
     /// backend's parallel path ([`Csr::half_words`] /
@@ -321,22 +320,23 @@ pub fn concat_edges<S: GraphStore + ?Sized>(store: &S) -> Vec<Edge> {
 
 /// Map `f` over `(shard_index, shard_edges)` pairs in parallel — the
 /// chunked parallel edge iteration the trait promises, with the shards as
-/// the chunks.
-///
-/// Scheduling is *sticky*: shard `i` is banded onto a stable topology node
-/// group (`rayon::sticky`), so repeated passes over the same store (degree
-/// histograms, then CSR, then stage 1) revisit each shard on workers whose
-/// caches already hold it. Results come back in shard order regardless.
+/// the chunks. Each shard is its own task (`with_min_len(1)`: the default
+/// 64-slot floor would run a handful of shards on one thread). Results come
+/// back in shard order.
 pub fn par_map_shards<S, T, F>(store: &S, f: F) -> Vec<T>
 where
     S: GraphStore + ?Sized,
     T: Send,
     F: Fn(usize, &[Edge]) -> T + Sync + Send,
 {
-    rayon::sticky::map(store.shard_count(), |i| f(i, store.shard(i)))
+    (0..store.shard_count())
+        .into_par_iter()
+        .with_min_len(1)
+        .map(|i| f(i, store.shard(i)))
+        .collect()
 }
 
-/// Per-shard degree histogram — the sticky-mapped unit shared by the
+/// Per-shard degree histogram — the per-shard unit shared by the
 /// sharded and mapped backends.
 pub(crate) fn shard_histogram(n: usize) -> impl Fn(usize, &[Edge]) -> Vec<u32> {
     move |_, shard| Graph::degree_histogram(n, shard)
@@ -459,9 +459,24 @@ mod tests {
 
     #[test]
     fn par_map_shards_visits_every_shard() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let (_, sg) = sharded_mixture();
-        let sizes = par_map_shards(&sg, |_, edges| edges.len());
-        assert_eq!(sizes, sg.shard_sizes());
+        for threads in [1, 2, 8] {
+            let visits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+            let got = pool.unwrap().install(|| {
+                par_map_shards(&sg, |i, edges| {
+                    visits[i].fetch_add(1, Ordering::Relaxed);
+                    (i, edges.len())
+                })
+            });
+            let expect: Vec<_> = sg.shard_sizes().into_iter().enumerate().collect();
+            assert_eq!(got, expect, "threads={threads}");
+            assert!(
+                visits.iter().all(|v| v.load(Ordering::Relaxed) == 1),
+                "threads={threads}"
+            );
+        }
         let slices = shard_slices(&sg);
         assert_eq!(slices.len(), 4);
         assert_eq!(slices.iter().map(|s| s.len()).sum::<usize>(), sg.m());

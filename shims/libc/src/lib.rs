@@ -121,8 +121,8 @@ extern "C" {
     pub fn posix_fadvise(fd: c_int, offset: off_t, len: off_t, advice: c_int) -> c_int;
 
     /// `sched_setaffinity(2)` — pin a thread (`pid == 0` names the caller)
-    /// to the CPUs marked in `mask`. Linux-only; the topology layer treats
-    /// failure as advisory.
+    /// to the CPUs marked in `mask`. Linux-only; perfbench pins its client
+    /// thread with it.
     pub fn sched_setaffinity(pid: pid_t, cpusetsize: size_t, mask: *const cpu_set_t) -> c_int;
 
     /// `sched_getaffinity(2)` — read the calling thread's CPU mask.

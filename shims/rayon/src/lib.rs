@@ -56,42 +56,7 @@ pub use iter::{
     IndexedParIter, IntoParIter, MapPar, Par, ParIter, ParSlice, RangeItem, RangePar, SliceMutPar,
     SlicePar, VecPar, ZipPar,
 };
-pub use pool::{current_num_threads, join, num_node_groups};
-
-/// Topology-sticky scheduling — an extension beyond the rayon API.
-///
-/// [`run`] executes `f(0)..f(n-1)` with chunk `i` *banded* onto node group
-/// `i * nodes / n`: repeated sticky batches over the same index space hand
-/// index `i` to a stable worker group, so per-shard state (histograms, CSR
-/// slices, arena buffers) stays in that group's caches. Cross-band stealing
-/// keeps the schedule work-conserving, and one effective thread runs the
-/// exact sequential `for i in 0..n` order.
-pub mod sticky {
-    /// Run `f(i)` for every `i` in `0..n`, each exactly once, with sticky
-    /// node banding. Re-throws the first panic after the batch drains.
-    pub fn run<F: Fn(usize) + Sync>(n: usize, f: F) {
-        crate::pool::run_batch_sticky(n, f);
-    }
-
-    /// Map `0..n` through `f` with sticky node banding, collecting results
-    /// in index order. Intended for coarse per-shard work (`n` is a shard
-    /// count, not an element count) — each slot costs a mutex.
-    pub fn map<T: Send, F: Fn(usize) -> T + Sync>(n: usize, f: F) -> Vec<T> {
-        let slots: Vec<std::sync::Mutex<Option<T>>> =
-            (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-        run(n, |i| {
-            *slots[i].lock().unwrap() = Some(f(i));
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .unwrap()
-                    .expect("sticky batch ran every index")
-            })
-            .collect()
-    }
-}
+pub use pool::{current_num_threads, join};
 
 /// Error building a thread pool (global pool already initialized with a
 /// conflicting size).
@@ -548,74 +513,5 @@ mod tests {
                 assert_eq!(crate::current_num_threads(), 8);
             });
         });
-    }
-
-    #[test]
-    fn sticky_runs_every_index_exactly_once() {
-        for threads in [1, 2, 8] {
-            let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
-            with_threads(threads, || {
-                crate::sticky::run(hits.len(), |i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                });
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn sticky_single_thread_is_inline_index_order() {
-        use std::sync::Mutex;
-        let id = std::thread::current().id();
-        let order = Mutex::new(Vec::new());
-        with_threads(1, || {
-            crate::sticky::run(100, |i| {
-                assert_eq!(std::thread::current().id(), id);
-                order.lock().unwrap().push(i);
-            });
-        });
-        assert_eq!(*order.lock().unwrap(), (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sticky_map_collects_in_index_order() {
-        for threads in [1, 8] {
-            let got = with_threads(threads, || crate::sticky::map(63, |i| i * i));
-            let expect: Vec<usize> = (0..63).map(|i| i * i).collect();
-            assert_eq!(got, expect, "threads={threads}");
-        }
-        assert!(with_threads(4, || crate::sticky::map(0, |i| i)).is_empty());
-    }
-
-    #[test]
-    fn sticky_panics_propagate_and_pool_survives() {
-        let r = std::panic::catch_unwind(|| {
-            with_threads(8, || {
-                crate::sticky::run(10_000, |i| assert!(i != 7777, "boom"));
-            });
-        });
-        assert!(r.is_err());
-        let s: u64 = with_threads(8, || (0..1000u64).into_par_iter().sum());
-        assert_eq!(s, 1000 * 999 / 2);
-    }
-
-    #[test]
-    fn sticky_concurrency_is_capped_at_the_effective_thread_count() {
-        let in_flight = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        with_threads(3, || {
-            crate::sticky::run(5000, |i| {
-                let c = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(c, Ordering::SeqCst);
-                if i % 1000 == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-            });
-        });
-        assert!(peak.load(Ordering::SeqCst) <= 3);
     }
 }

@@ -14,19 +14,12 @@
 //! front of their own deque and steal from the back of the others, parking
 //! on a condvar when every deque is empty.
 //!
-//! ## Topology awareness
+//! ## One flat pool
 //!
-//! Deques are grouped by NUMA node (`crate::topology`): workers fill CPUs
-//! node-major, each worker optionally pins itself to its node's CPU set on
-//! spawn (`PARCC_PIN=0` opts out), stealing exhausts the home node's deques
-//! before touching remote nodes, and submitters interleave pushes across
-//! nodes (round-robin over nodes, round-robin over each node's deques). The
-//! sticky variant ([`run_batch_sticky`]) additionally *bands* chunk indices
-//! onto node groups — chunk `i` belongs to node `i·nodes/chunks` — so
-//! repeated batches over the same chunk space (per-shard histograms, CSR
-//! builds) keep shard `i` on a stable worker group; executors drain their
-//! own node's band before stealing from remote bands. On a single-node box
-//! every grouping collapses to the previous flat round-robin behavior.
+//! Deques are flat: submitters push round-robin over the live workers'
+//! deques, and stealing scans them in ascending order. Workers are not
+//! pinned; a lazily spawned worker inherits the CPU mask of the thread
+//! that spawned it.
 //!
 //! Jobs are type-erased raw pointers into the submitting thread's stack
 //! frame. This is sound because a batch submitter never returns before every
@@ -38,22 +31,24 @@
 //! * The **default thread count** comes from, in priority order:
 //!   [`configure_global`] (i.e. `ThreadPoolBuilder::build_global`), the
 //!   `PARCC_THREADS` env var, the `RAYON_NUM_THREADS` env var, then
-//!   [`std::thread::available_parallelism`].
+//!   [`std::thread::available_parallelism`]. An env value above
+//!   [`MAX_ENV_THREADS`] (the 1024-CPU `cpu_set_t` width) is ignored, just
+//!   as an unparsable one is.
 //! * The **pool capacity** is `max(default, 8)`: the ceiling on what an
 //!   explicit `ThreadPoolBuilder::num_threads(k).build().install(..)` can
 //!   get, so installs exercise real concurrency (up to the capacity) even
-//!   on small machines. The pool pre-allocates `capacity − 1` deques with
-//!   their node grouping, but no threads.
+//!   on small machines. The pool pre-allocates `capacity − 1` deques, but
+//!   no threads.
 //! * The **effective thread count** ([`effective_threads`]) is the install
 //!   override when one is active on the current thread, else the default.
 //!   When it is 1, callers run everything inline on the current thread in
 //!   index order — bit-for-bit the schedule of the old sequential shim — and
 //!   the pool is never touched.
-//! * **Workers are spawned lazily**, in deque order, pinned to their
-//!   deque's node. Before pushing, a batch or `join` at `t` effective
-//!   threads makes sure workers `0..t − 1` exist (a batch with fewer chunks
-//!   needs fewer). So a `--threads 2` process runs one worker, and the pool
-//!   grows to `capacity − 1` only once an install asks for that many.
+//! * **Workers are spawned lazily**, in deque order. Before pushing, a
+//!   batch or `join` at `t` effective threads makes sure workers `0..t − 1`
+//!   exist (a batch with fewer chunks needs fewer). So a `--threads 2`
+//!   process runs one worker, and the pool grows to `capacity − 1` only
+//!   once an install asks for that many.
 //!   Pushes and steals touch only the deques of workers that exist, so a
 //!   batch wakes and scans only the workers the widest call so far needed.
 //!
@@ -91,15 +86,10 @@ impl JobRef {
 }
 
 struct Shared {
-    /// One deque per worker thread, grouped by topology node.
+    /// One deque per worker thread.
     queues: Vec<Mutex<VecDeque<JobRef>>>,
-    /// Home node of each worker/queue index.
-    queue_node: Vec<usize>,
-    /// Per node: the queue indices living on it (possibly empty when the
-    /// pool is narrower than the node count).
-    node_queues: Vec<Vec<usize>>,
-    /// Per-node round-robin push cursors.
-    node_cursors: Vec<AtomicUsize>,
+    /// Round-robin push cursor over the live deques.
+    cursor: AtomicUsize,
     /// Workers spawned so far: queues `0..spawned` have a live worker.
     /// Grows under `Pool::spawn_lock` and never shrinks. It is stored with
     /// Release once the workers are spawned and read with Acquire, so a
@@ -110,8 +100,6 @@ struct Shared {
     /// Guards the park/notify handshake.
     gate: Mutex<()>,
     cond: Condvar,
-    /// Round-robin *node* selector for interleaved pushes.
-    cursor: AtomicUsize,
 }
 
 impl Shared {
@@ -130,61 +118,29 @@ impl Shared {
         job
     }
 
-    /// `node`'s queues whose worker exists. Queue ids ascend within a
-    /// node and workers spawn in id order, so these form a prefix.
-    fn live_queues(&self, node: usize, spawned: usize) -> &[usize] {
-        let qs = &self.node_queues[node];
-        &qs[..qs.partition_point(|&q| q < spawned)]
-    }
-
-    /// Pop any job, NUMA-locally: the caller's own deque from the front,
-    /// then the rest of its home node's deques, then remote nodes — all
-    /// steals from the back. Only live workers' deques can hold jobs.
+    /// Pop any job: the caller's own deque from the front, then steal from
+    /// the back of the other live deques in ascending order. Only live
+    /// workers' deques can hold jobs.
     fn pop_job(&self, home: usize) -> Option<JobRef> {
         if let Some(job) = self.try_pop(home, true) {
             return Some(job);
         }
         let spawned = self.spawned.load(Ordering::Acquire);
-        let nodes = self.node_queues.len();
-        let home_node = self.queue_node.get(home).copied().unwrap_or(0);
-        for off in 0..nodes {
-            let node = (home_node + off) % nodes;
-            for &q in self.live_queues(node, spawned) {
-                if q == home {
-                    continue;
-                }
-                if let Some(job) = self.try_pop(q, false) {
-                    return Some(job);
-                }
-            }
-        }
-        None
+        (0..spawned)
+            .filter(|&q| q != home)
+            .find_map(|q| self.try_pop(q, false))
     }
 
-    /// Push one job onto `node`'s live deques (round-robin within the
-    /// node), falling forward to the next node with a live worker when
-    /// `node` has none. Callers must have spawned at least one worker.
-    /// Does not notify — callers batch the wakeup.
-    fn push_to_node(&self, node: usize, job: JobRef) {
+    /// Push jobs round-robin over the live deques, then wake the pool.
+    /// Callers must have spawned at least one worker.
+    fn push_jobs(&self, jobs: impl Iterator<Item = JobRef>) {
         let spawned = self.spawned.load(Ordering::Acquire);
         debug_assert!(spawned > 0, "push before any worker was spawned");
-        let nodes = self.node_queues.len();
-        let mut node = node % nodes;
-        while self.live_queues(node, spawned).is_empty() {
-            node = (node + 1) % nodes;
-        }
-        let qs = self.live_queues(node, spawned);
-        let q = qs[self.node_cursors[node].fetch_add(1, Ordering::Relaxed) % qs.len()];
-        self.pending.fetch_add(1, Ordering::Release);
-        self.queues[q].lock().unwrap().push_back(job);
-    }
-
-    fn push_jobs(&self, jobs: impl Iterator<Item = JobRef>) {
-        let nodes = self.node_queues.len();
         let mut pushed = 0usize;
         for job in jobs {
-            let node = self.cursor.fetch_add(1, Ordering::Relaxed) % nodes;
-            self.push_to_node(node, job);
+            let q = self.cursor.fetch_add(1, Ordering::Relaxed) % spawned;
+            self.pending.fetch_add(1, Ordering::Release);
+            self.queues[q].lock().unwrap().push_back(job);
             pushed += 1;
         }
         if pushed > 0 {
@@ -241,8 +197,7 @@ impl Pool {
     }
 
     /// Slow path of [`Self::ensure_workers`]: under the spawn lock, spawn
-    /// the missing workers in index order, each pinned to its deque's node,
-    /// then publish the new count.
+    /// the missing workers in index order, then publish the new count.
     #[cold]
     #[inline(never)]
     fn spawn_workers(&'static self, want: usize) {
@@ -254,16 +209,9 @@ impl Pool {
         let have = shared.spawned.load(Ordering::Acquire);
         for i in have..want {
             let shared = Arc::clone(shared);
-            let node = shared.queue_node[i];
             std::thread::Builder::new()
                 .name(format!("parcc-worker-{i}"))
-                .spawn(move || {
-                    crate::topology::set_current_node(node);
-                    // Advisory: an EINVAL/EPERM here just leaves the
-                    // worker unpinned.
-                    crate::topology::pin_current_thread(node);
-                    worker_loop(shared, i);
-                })
+                .spawn(move || worker_loop(shared, i))
                 .expect("failed to spawn pool worker");
         }
         if want > have {
@@ -298,12 +246,16 @@ pub(crate) fn configure_global(n: usize) -> Result<(), ()> {
     }
 }
 
+/// Largest `PARCC_THREADS`/`RAYON_NUM_THREADS` value honoured.
+const MAX_ENV_THREADS: usize = 1024;
+
 fn env_threads(var: &str) -> Option<usize> {
     std::env::var(var)
         .ok()?
         .trim()
         .parse::<usize>()
         .ok()
+        .filter(|&n| n <= MAX_ENV_THREADS)
         .map(|n| n.max(1))
 }
 
@@ -324,26 +276,14 @@ fn global() -> &'static Pool {
         let queues: Vec<_> = (0..capacity - 1)
             .map(|_| Mutex::new(VecDeque::new()))
             .collect();
-        let topo = crate::topology::current();
-        let queue_node: Vec<usize> = (0..queues.len()).map(|w| topo.worker_node(w)).collect();
-        let mut node_queues = vec![Vec::new(); topo.num_nodes()];
-        for (q, &node) in queue_node.iter().enumerate() {
-            node_queues[node].push(q);
-        }
-        let node_cursors = (0..node_queues.len())
-            .map(|_| AtomicUsize::new(0))
-            .collect();
         Pool {
             shared: Arc::new(Shared {
                 queues,
-                queue_node,
-                node_queues,
-                node_cursors,
+                cursor: AtomicUsize::new(0),
                 spawned: AtomicUsize::new(0),
                 pending: AtomicUsize::new(0),
                 gate: Mutex::new(()),
                 cond: Condvar::new(),
-                cursor: AtomicUsize::new(0),
             }),
             capacity,
             default_threads,
@@ -537,162 +477,6 @@ pub(crate) fn run_batch<F: Fn(usize) + Sync>(chunks: usize, f: F) {
     if let Some(payload) = payload {
         resume_unwind(payload);
     }
-}
-
-/// State shared between a sticky batch's executors and its submitter:
-/// chunk indices are pre-banded onto node groups instead of pulled off one
-/// global counter.
-struct StickyState {
-    /// Per node: the `[lo, hi)` chunk band it owns.
-    bands: Vec<(usize, usize)>,
-    /// Per node: positions claimed within its band (monotonic).
-    next: Vec<AtomicUsize>,
-    /// Total chunks in the batch.
-    chunks: usize,
-    /// Chunks fully executed.
-    done: AtomicUsize,
-    /// Pushed executor jobs that have been popped and finished.
-    executors_done: AtomicUsize,
-    /// Executor jobs pushed (`executors_done`'s target).
-    helpers: usize,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Submitter's install override, inherited by every executor.
-    inherit: usize,
-    /// For waking a parked submitter on completion.
-    shared: &'static Shared,
-}
-
-struct StickyTask<'a, F> {
-    f: &'a F,
-    state: &'a StickyState,
-}
-
-/// Drain a sticky batch from the perspective of a thread homed at node
-/// `start`: exhaust the home band, then steal from remote bands in node
-/// order. One pass over the bands is complete — band cursors are monotonic,
-/// so a band observed empty stays empty.
-fn drain_bands<F: Fn(usize) + Sync>(f: &F, state: &StickyState, start: usize) {
-    let groups = state.bands.len();
-    for off in 0..groups {
-        let node = (start + off) % groups;
-        let (lo, hi) = state.bands[node];
-        loop {
-            let i = lo + state.next[node].fetch_add(1, Ordering::Relaxed);
-            if i >= hi {
-                break;
-            }
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i))) {
-                state.panic.lock().unwrap().get_or_insert(payload);
-            }
-            if state.done.fetch_add(1, Ordering::Release) + 1 == state.chunks {
-                state.shared.notify_all();
-            }
-        }
-    }
-}
-
-/// Type-erased executor for a sticky batch. Drains bands starting from the
-/// *executing* thread's node, so whichever worker pops the job prefers the
-/// chunks banded to its own node.
-///
-/// # Safety
-/// `ptr` must point to a live `StickyTask<F>` and be executed at most once.
-unsafe fn exec_sticky<F: Fn(usize) + Sync>(ptr: *const ()) {
-    // SAFETY: per the contract above.
-    let task = unsafe { &*ptr.cast::<StickyTask<'_, F>>() };
-    let prev = set_override(task.state.inherit);
-    drain_bands(task.f, task.state, crate::topology::current_node());
-    set_override(prev);
-    // Copy out of the state *before* publishing completion (see
-    // `exec_batch`): the fetch_add below must be the final access.
-    let helpers = task.state.helpers;
-    let shared = task.state.shared;
-    if task.state.executors_done.fetch_add(1, Ordering::Release) + 1 == helpers {
-        shared.notify_all();
-    }
-}
-
-/// Sticky variant of [`run_batch`]: run `f(0)..f(chunks-1)` exactly once
-/// each, with chunk `i` banded to node group `i * nodes / chunks`. Repeated
-/// sticky batches over the same chunk count therefore hand chunk `i` to a
-/// stable worker group (warm caches for per-shard work), while cross-band
-/// stealing keeps the schedule work-conserving. With one effective thread
-/// this is bit-for-bit the sequential `for i in 0..chunks` schedule.
-pub(crate) fn run_batch_sticky<F: Fn(usize) + Sync>(chunks: usize, f: F) {
-    let helpers = effective_threads()
-        .saturating_sub(1)
-        .min(chunks.saturating_sub(1));
-    if helpers == 0 {
-        // Sequential: every chunk inline, in index order (band order is
-        // ascending, so this equals the banded order too).
-        for i in 0..chunks {
-            f(i);
-        }
-        return;
-    }
-    let pool = global();
-    pool.ensure_workers(helpers);
-    let shared: &'static Shared = &pool.shared;
-    let groups = shared.node_queues.len().max(1);
-    let bands: Vec<(usize, usize)> = (0..groups)
-        .map(|g| (chunks * g / groups, chunks * (g + 1) / groups))
-        .collect();
-    let state = StickyState {
-        next: (0..groups).map(|_| AtomicUsize::new(0)).collect(),
-        bands,
-        chunks,
-        done: AtomicUsize::new(0),
-        executors_done: AtomicUsize::new(0),
-        helpers,
-        panic: Mutex::new(None),
-        inherit: OVERRIDE.with(Cell::get),
-        shared,
-    };
-    let tasks: Vec<StickyTask<'_, F>> = (0..helpers)
-        .map(|_| StickyTask {
-            f: &f,
-            state: &state,
-        })
-        .collect();
-    // Target the executor jobs at the nodes *after* the submitter's, so the
-    // submitter's own band is not oversubscribed.
-    let my_node = crate::topology::current_node();
-    let mut pushed = 0usize;
-    for (j, t) in tasks.iter().enumerate() {
-        shared.push_to_node(
-            (my_node + 1 + j) % groups,
-            JobRef {
-                data: std::ptr::from_ref(t).cast(),
-                exec: exec_sticky::<F>,
-            },
-        );
-        pushed += 1;
-    }
-    if pushed > 0 {
-        shared.notify_all();
-    }
-    // The submitter is always one of the batch's executors.
-    drain_bands(&f, &state, my_node);
-    // Wait for both every chunk *and* every pushed executor job (see
-    // `run_batch` for why leftovers would dangle).
-    help_until(shared, || {
-        state.done.load(Ordering::Acquire) == chunks
-            && state.executors_done.load(Ordering::Acquire) == helpers
-    });
-    let payload = state.panic.lock().unwrap().take();
-    if let Some(payload) = payload {
-        resume_unwind(payload);
-    }
-}
-
-/// Number of node groups the pool schedules across (1 until the pool
-/// exists on a single-node box; the detected node count otherwise).
-#[must_use]
-pub fn num_node_groups() -> usize {
-    POOL.get().map_or_else(
-        || crate::topology::current().num_nodes(),
-        |p| p.shared.node_queues.len(),
-    )
 }
 
 /// One-shot deferred closure used by [`join`].

@@ -1,388 +1,26 @@
-//! Machine topology: NUMA nodes and the core→node map.
-//!
-//! The pool groups worker deques by node so stealing stays node-local
-//! (`pool.rs`), the arena keeps per-node buffer pools
-//! (`parcc_pram::arena`), and sticky shard scheduling bands shards onto
-//! stable node groups. All of them read the one [`Topology`] detected
-//! here.
-//!
-//! Detection order:
-//!
-//! 1. `PARCC_TOPOLOGY=NxM` — a synthetic layout of `N` nodes × `M` cores,
-//!    so multi-node scheduling is testable on any box. Synthetic layouts
-//!    fabricate CPU ids and therefore never pin.
-//! 2. `/sys/devices/system/node/node*/cpulist` (Linux) — the real NUMA
-//!    node list. Only this source enables [`sched_setaffinity`] pinning.
-//! 3. Fallback: a single node holding `available_parallelism` cores.
-//!
-//! Pinning is on by default for sysfs-detected topologies and can be
-//! disabled with `PARCC_PIN=0`. Failures are advisory: a worker that
-//! cannot pin simply runs unpinned. The environment is read once; like
-//! `PARCC_THREADS`, changes after the first pool use have no effect.
+//! Stand-in kept only for perfbench's run stamp; it goes with the next
+//! change to the benchmark. The pool is flat and never pins.
 
-use std::cell::Cell;
-use std::sync::OnceLock;
-
-/// Where the topology came from — governs whether CPU ids are real.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Source {
-    /// Parsed from `/sys/devices/system/node` — CPU ids are real.
-    Sysfs,
-    /// `PARCC_TOPOLOGY=NxM` override — CPU ids are fabricated.
-    Synthetic,
-    /// Single-node fallback — CPU ids are guesses (`0..p`).
-    Fallback,
-}
-
-/// The detected machine layout: per-node CPU lists.
-#[derive(Clone, Debug)]
-pub struct Topology {
-    /// `nodes[g]` is node `g`'s CPU ids, ascending. Never empty; every
-    /// inner list is non-empty.
-    nodes: Vec<Vec<usize>>,
-    source: Source,
-}
+/// The CPUs the pool may use, as one flat set.
+pub struct Topology;
 
 impl Topology {
-    /// Build from explicit per-node CPU lists; empty nodes are dropped and
-    /// an all-empty layout collapses to a 1-node/1-core fallback.
-    #[must_use]
-    pub fn from_nodes(mut nodes: Vec<Vec<usize>>, source: Source) -> Self {
-        nodes.retain(|cpus| !cpus.is_empty());
-        if nodes.is_empty() {
-            nodes.push(vec![0]);
-        }
-        Topology { nodes, source }
-    }
-
-    /// A synthetic `nodes x cores` layout (fabricated CPU ids, never pins).
-    #[must_use]
-    pub fn synthetic(nodes: usize, cores: usize) -> Self {
-        let nodes = nodes.max(1);
-        let cores = cores.max(1);
-        let layout = (0..nodes)
-            .map(|g| (g * cores..(g + 1) * cores).collect())
-            .collect();
-        Topology::from_nodes(layout, Source::Synthetic)
-    }
-
-    fn fallback() -> Self {
-        let p = std::thread::available_parallelism().map_or(1, usize::from);
-        Topology::from_nodes(vec![(0..p).collect()], Source::Fallback)
-    }
-
-    /// Number of NUMA nodes (≥ 1).
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Total cores across all nodes (≥ 1).
-    #[must_use]
-    pub fn total_cores(&self) -> usize {
-        self.nodes.iter().map(Vec::len).sum()
-    }
-
-    /// CPU ids owned by `node` (empty slice for an out-of-range node).
-    #[must_use]
-    pub fn cpus_on(&self, node: usize) -> &[usize] {
-        self.nodes.get(node).map_or(&[], Vec::as_slice)
-    }
-
-    /// Where this layout came from.
-    #[must_use]
-    pub fn source(&self) -> Source {
-        self.source
-    }
-
-    /// Whether the layout is the `PARCC_TOPOLOGY` synthetic override.
-    #[must_use]
-    pub fn is_synthetic(&self) -> bool {
-        self.source == Source::Synthetic
-    }
-
-    /// Home node of pool worker `w`: workers fill CPUs in node-major
-    /// order and cycle when the pool is wider than the machine, so every
-    /// node keeps a worker share proportional to its core count.
-    #[must_use]
-    pub fn worker_node(&self, w: usize) -> usize {
-        let mut idx = w % self.total_cores();
-        for (node, cpus) in self.nodes.iter().enumerate() {
-            if idx < cpus.len() {
-                return node;
-            }
-            idx -= cpus.len();
-        }
-        0
-    }
-
-    /// One-line human summary, e.g. `2 nodes x 2 cores (synthetic)` or
-    /// `2 nodes (12+4 cores)` for uneven layouts.
+    /// The available-parallelism CPU count, e.g. `2 cpus`.
     #[must_use]
     pub fn summary(&self) -> String {
-        let tag = match self.source {
-            Source::Sysfs => "",
-            Source::Synthetic => " (synthetic)",
-            Source::Fallback => " (assumed)",
-        };
-        let counts: Vec<usize> = self.nodes.iter().map(Vec::len).collect();
-        let even = counts.windows(2).all(|w| w[0] == w[1]);
-        let n = self.num_nodes();
-        let noun = if n == 1 { "node" } else { "nodes" };
-        if even {
-            let c = counts[0];
-            let cnoun = if c == 1 { "core" } else { "cores" };
-            format!("{n} {noun} x {c} {cnoun}{tag}")
-        } else {
-            let list: Vec<String> = counts.iter().map(ToString::to_string).collect();
-            format!("{n} {noun} ({} cores){tag}", list.join("+"))
-        }
+        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+        format!("{cpus} cpus")
     }
 }
 
-/// Parse a sysfs `cpulist` string: comma-separated decimal ids and
-/// inclusive ranges (`0-3,8,10-11`). Returns `None` on any malformed part.
+/// This process's flat CPU set.
 #[must_use]
-pub fn parse_cpulist(s: &str) -> Option<Vec<usize>> {
-    let s = s.trim();
-    if s.is_empty() {
-        return Some(Vec::new());
-    }
-    let mut cpus = Vec::new();
-    for part in s.split(',') {
-        let part = part.trim();
-        match part.split_once('-') {
-            Some((lo, hi)) => {
-                let lo: usize = lo.trim().parse().ok()?;
-                let hi: usize = hi.trim().parse().ok()?;
-                if lo > hi {
-                    return None;
-                }
-                cpus.extend(lo..=hi);
-            }
-            None => cpus.push(part.parse().ok()?),
-        }
-    }
-    cpus.sort_unstable();
-    cpus.dedup();
-    Some(cpus)
+pub fn current() -> Topology {
+    Topology
 }
 
-/// Parse the `PARCC_TOPOLOGY` value: `NxM` with both sides ≥ 1 and
-/// `N*M ≤ 1024`. `None` for anything else (the caller falls through to
-/// real detection).
-#[must_use]
-pub fn parse_synthetic(s: &str) -> Option<Topology> {
-    let (n, m) = s.trim().split_once(['x', 'X'])?;
-    let n: usize = n.trim().parse().ok()?;
-    let m: usize = m.trim().parse().ok()?;
-    if n == 0 || m == 0 || n.checked_mul(m)? > 1024 {
-        return None;
-    }
-    Some(Topology::synthetic(n, m))
-}
-
-#[cfg(target_os = "linux")]
-fn detect_sysfs() -> Option<Topology> {
-    let mut nodes: Vec<(usize, Vec<usize>)> = Vec::new();
-    for entry in std::fs::read_dir("/sys/devices/system/node").ok()? {
-        let entry = entry.ok()?;
-        let name = entry.file_name();
-        let name = name.to_str()?;
-        let Some(idx) = name
-            .strip_prefix("node")
-            .and_then(|s| s.parse::<usize>().ok())
-        else {
-            continue;
-        };
-        let cpulist = std::fs::read_to_string(entry.path().join("cpulist")).ok()?;
-        let cpus = parse_cpulist(&cpulist)?;
-        if !cpus.is_empty() {
-            nodes.push((idx, cpus));
-        }
-    }
-    if nodes.is_empty() {
-        return None;
-    }
-    nodes.sort_by_key(|&(idx, _)| idx);
-    Some(Topology::from_nodes(
-        nodes.into_iter().map(|(_, cpus)| cpus).collect(),
-        Source::Sysfs,
-    ))
-}
-
-#[cfg(not(target_os = "linux"))]
-fn detect_sysfs() -> Option<Topology> {
-    None
-}
-
-fn detect() -> Topology {
-    if let Ok(spec) = std::env::var("PARCC_TOPOLOGY") {
-        if let Some(t) = parse_synthetic(&spec) {
-            return t;
-        }
-    }
-    detect_sysfs().unwrap_or_else(Topology::fallback)
-}
-
-/// The process-wide topology, detected once on first use.
-#[must_use]
-pub fn current() -> &'static Topology {
-    static TOPO: OnceLock<Topology> = OnceLock::new();
-    TOPO.get_or_init(detect)
-}
-
-/// Whether worker pinning is enabled: requested (default yes, `PARCC_PIN=0`
-/// opts out) *and* the topology's CPU ids are real (sysfs source only —
-/// synthetic/fallback ids would pin threads to the wrong places).
+/// Always `false`: workers are never pinned.
 #[must_use]
 pub fn pinning_enabled() -> bool {
-    static PIN: OnceLock<bool> = OnceLock::new();
-    *PIN.get_or_init(|| {
-        let requested = !matches!(
-            std::env::var("PARCC_PIN").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        );
-        requested && cfg!(target_os = "linux") && current().source() == Source::Sysfs
-    })
-}
-
-/// Pin the calling thread to `node`'s CPUs. Advisory: returns whether the
-/// kernel accepted the mask; no-op (false) when pinning is disabled or the
-/// node is unknown.
-pub fn pin_current_thread(node: usize) -> bool {
-    if !pinning_enabled() {
-        return false;
-    }
-    pin_to_cpus(current().cpus_on(node))
-}
-
-#[cfg(target_os = "linux")]
-fn pin_to_cpus(cpus: &[usize]) -> bool {
-    if cpus.is_empty() {
-        return false;
-    }
-    let mut set = libc::CPU_ZERO();
-    for &c in cpus {
-        libc::CPU_SET(c, &mut set);
-    }
-    // SAFETY: `set` is a valid, fully initialized mask; pid 0 names the
-    // calling thread.
-    unsafe { libc::sched_setaffinity(0, std::mem::size_of::<libc::cpu_set_t>(), &set) == 0 }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_to_cpus(_cpus: &[usize]) -> bool {
     false
-}
-
-thread_local! {
-    static CURRENT_NODE: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The topology node of the calling thread: its home node for pool
-/// workers, node 0 for external threads. Per-node consumers (the arena's
-/// buffer pools) key off this.
-#[must_use]
-pub fn current_node() -> usize {
-    CURRENT_NODE.with(Cell::get)
-}
-
-/// Bind the calling thread to `node` for [`current_node`] lookups. The
-/// pool sets this on worker startup; tests use it to exercise per-node
-/// paths without spawning workers.
-pub fn set_current_node(node: usize) {
-    CURRENT_NODE.with(|c| c.set(node));
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cpulist_parses_ranges_and_singles() {
-        assert_eq!(parse_cpulist("0-3"), Some(vec![0, 1, 2, 3]));
-        assert_eq!(parse_cpulist("0,2,4"), Some(vec![0, 2, 4]));
-        assert_eq!(parse_cpulist("0-1,8,10-11\n"), Some(vec![0, 1, 8, 10, 11]));
-        assert_eq!(parse_cpulist(""), Some(vec![]));
-        assert_eq!(parse_cpulist("3-1"), None);
-        assert_eq!(parse_cpulist("a-b"), None);
-        assert_eq!(parse_cpulist("1,,2"), None);
-    }
-
-    #[test]
-    fn synthetic_spec_parses_and_rejects() {
-        let t = parse_synthetic("2x2").unwrap();
-        assert_eq!(t.num_nodes(), 2);
-        assert_eq!(t.total_cores(), 4);
-        assert!(t.is_synthetic());
-        assert_eq!(t.cpus_on(1), &[2, 3]);
-        assert!(parse_synthetic("4X1").is_some());
-        assert!(parse_synthetic("0x4").is_none());
-        assert!(parse_synthetic("2x0").is_none());
-        assert!(parse_synthetic("64x64").is_none(), "over the 1024 cap");
-        assert!(parse_synthetic("2").is_none());
-        assert!(parse_synthetic("axb").is_none());
-    }
-
-    #[test]
-    fn worker_node_is_node_major_and_cycles() {
-        let t = Topology::synthetic(2, 2);
-        let nodes: Vec<usize> = (0..8).map(|w| t.worker_node(w)).collect();
-        assert_eq!(nodes, vec![0, 0, 1, 1, 0, 0, 1, 1]);
-        // Uneven layout: shares stay proportional.
-        let t = Topology::from_nodes(vec![vec![0, 1, 2], vec![3]], Source::Synthetic);
-        let nodes: Vec<usize> = (0..8).map(|w| t.worker_node(w)).collect();
-        assert_eq!(nodes, vec![0, 0, 0, 1, 0, 0, 0, 1]);
-    }
-
-    #[test]
-    fn empty_nodes_are_dropped_and_all_empty_collapses() {
-        let t = Topology::from_nodes(vec![vec![], vec![4, 5], vec![]], Source::Sysfs);
-        assert_eq!(t.num_nodes(), 1);
-        assert_eq!(t.cpus_on(0), &[4, 5]);
-        let t = Topology::from_nodes(vec![], Source::Fallback);
-        assert_eq!(t.num_nodes(), 1);
-        assert_eq!(t.total_cores(), 1);
-    }
-
-    #[test]
-    fn summary_shapes() {
-        assert_eq!(
-            Topology::synthetic(2, 2).summary(),
-            "2 nodes x 2 cores (synthetic)"
-        );
-        assert_eq!(
-            Topology::from_nodes(vec![vec![0]], Source::Sysfs).summary(),
-            "1 node x 1 core"
-        );
-        assert_eq!(
-            Topology::from_nodes(vec![vec![0, 1, 2], vec![3]], Source::Sysfs).summary(),
-            "2 nodes (3+1 cores)"
-        );
-        assert!(Topology::fallback().summary().contains("(assumed)"));
-    }
-
-    #[test]
-    fn current_node_defaults_to_zero_and_is_thread_local() {
-        assert_eq!(current_node(), 0);
-        std::thread::spawn(|| {
-            set_current_node(3);
-            assert_eq!(current_node(), 3);
-        })
-        .join()
-        .unwrap();
-        assert_eq!(current_node(), 0);
-    }
-
-    #[test]
-    fn detected_topology_is_sane() {
-        let t = current();
-        assert!(t.num_nodes() >= 1);
-        assert!(t.total_cores() >= 1);
-        for g in 0..t.num_nodes() {
-            assert!(!t.cpus_on(g).is_empty());
-        }
-        assert!(!t.summary().is_empty());
-    }
 }

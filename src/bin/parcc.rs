@@ -87,20 +87,6 @@ fn shard_summary(sizes: &[usize]) -> String {
     format!("{} (sizes {shown:?}{ell})", sizes.len())
 }
 
-/// The `topology:` stats line: detected node layout plus whether workers
-/// pin to their home node's cores.
-fn topology_summary() -> String {
-    format!(
-        "{}, pinning {}",
-        rayon::topology::current().summary(),
-        if rayon::topology::pinning_enabled() {
-            "on"
-        } else {
-            "off"
-        }
-    )
-}
-
 /// The `storage:` stats line: which backend the input landed in.
 fn storage_summary(loaded: &LoadedStore) -> String {
     match loaded {
@@ -231,6 +217,9 @@ fn operands(args: &[String], max: usize) -> &[String] {
     rest
 }
 
+/// Largest `--threads` value: the 1024-CPU `cpu_set_t` width.
+const MAX_THREADS: usize = 1024;
+
 fn apply_threads_flag(args: &mut Vec<String>) -> Result<(), String> {
     let Some(v) = take_flag_value(args, "--threads")? else {
         return Ok(());
@@ -239,6 +228,10 @@ fn apply_threads_flag(args: &mut Vec<String>) -> Result<(), String> {
     if n == 0 {
         // Match `--shards 0`: an explicit error beats a silent clamp to 1.
         return Err("--threads must be >= 1".into());
+    }
+    if n > MAX_THREADS {
+        // Checked before the pool exists: it would allocate n − 1 deques.
+        return Err(format!("--threads must be <= {MAX_THREADS}"));
     }
     rayon::ThreadPoolBuilder::new()
         .num_threads(n)
@@ -392,7 +385,6 @@ fn cmd_stats(algo: &dyn ComponentSolver, path: Option<&str>, ooc: bool) -> Resul
     println!("shards:          {}", shard_summary(&loaded.shard_sizes()));
     println!("storage:         {}", storage_summary(&loaded));
     println!("threads:         {}", rayon::current_num_threads());
-    println!("topology:        {}", topology_summary());
     println!("algorithm:       {}", algo.name());
     println!("components:      {}", index.count());
     println!("largest:         {:?}", &sizes[..sizes.len().min(5)]);
@@ -447,7 +439,6 @@ fn cmd_stats_ooc(path: &str) -> Result<(), String> {
         report.file_bytes as f64 / f64::from(1 << 20)
     );
     println!("threads:         {}", rayon::current_num_threads());
-    println!("topology:        {}", topology_summary());
     println!("algorithm:       union-find (out-of-core)");
     println!("components:      {}", index.count());
     println!("largest:         {:?}", &sizes[..sizes.len().min(5)]);

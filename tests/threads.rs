@@ -53,6 +53,19 @@ fn zoo(seed: u64) -> Vec<(&'static str, Graph)> {
     ]
 }
 
+/// The mesh and a 20k Chung–Lu graph with their ids randomly permuted:
+/// the generators' id order decides every id-priority tie, so invariance
+/// must also hold without it.
+fn relabeled() -> [(&'static str, Graph); 2] {
+    [
+        ("mesh_relabeled", gen::grid2d(40, 40, false).permuted(7)),
+        (
+            "chung_lu_20k_relabeled",
+            gen::chung_lu(20_000, 2.5, 8.0, 19).permuted(7),
+        ),
+    ]
+}
+
 #[test]
 fn main_algorithm_is_thread_count_invariant() {
     for (name, g) in zoo(11) {
@@ -79,7 +92,7 @@ fn paper_stage1_is_bit_identical_at_any_thread_count() {
     // crosses the primitives' sequential cutoff, so a hub-heavy graph ten
     // times its size runs every pass in parallel chunks.
     let large = ("chung_lu_20k", gen::chung_lu(20_000, 2.5, 8.0, 19));
-    for (graph, g) in zoo(19).into_iter().chain([large]) {
+    for (graph, g) in zoo(19).into_iter().chain([large]).chain(relabeled()) {
         let run = |k| {
             with_threads(k, || {
                 let forest = ParentForest::new(g.n());
@@ -106,7 +119,7 @@ fn paper_stage1_is_bit_identical_at_any_thread_count() {
 fn paper_pipeline_labels_are_identical_at_any_thread_count() {
     for name in ["paper", "known-gap"] {
         let s = solver::find(name).expect("registered");
-        for (graph, g) in zoo(19) {
+        for (graph, g) in zoo(19).into_iter().chain(relabeled()) {
             let run = |k| with_threads(k, || s.solve(&g, &SolveCtx::with_seed(19)).labels);
             let base = run(1);
             for k in [2, 8] {
@@ -203,6 +216,7 @@ fn hybrid_is_thread_count_invariant() {
     let mut graphs = zoo(23);
     graphs.push(("mesh", gen::grid2d(40, 40, false)));
     graphs.push(("chung_lu_20k", gen::chung_lu(20_000, 2.5, 8.0, 19)));
+    graphs.extend(relabeled());
     for (name, g) in graphs {
         let minima = components(&g);
         for k in THREAD_COUNTS {
