@@ -23,6 +23,8 @@ use parcc_ltz::{ltz_connectivity, LtzParams};
 use parcc_pram::cost::CostTracker;
 use parcc_pram::forest::ParentForest;
 use parcc_pram::rng::Stream;
+use parcc_solver::compare::Json;
+use parcc_solver::serve::Session;
 use parcc_solver::SolveCtx;
 use parcc_spectral::gap::min_component_gap;
 use std::time::Instant;
@@ -919,6 +921,8 @@ pub fn e21_durability(quick: bool) -> Table {
         parcc_solver::oracle_labels(&Graph::new(n, all))
     };
     let wal_path = std::env::temp_dir().join(format!("parcc-e21-{}.wal", std::process::id()));
+    // An edgeless preload sizes the state to n vertices up front.
+    let vertices = Graph::new(n, Vec::new());
     let mut base_ms = 0.0;
     let mut json_rows = Vec::new();
     for policy in [
@@ -929,17 +933,15 @@ pub fn e21_durability(quick: bool) -> Table {
     ] {
         let _ = std::fs::remove_file(&wal_path);
         let label = policy.map_or("none", SyncPolicy::name);
-        let engine = parcc_solver::ServeEngine::start(parcc_solver::IncrementalUnionFind::new(n));
-        let mut wal = policy.map(|p| Wal::open(&wal_path, p).expect("fresh wal").0);
+        // The serve session's own commit path: WAL append, then submit.
+        let mut session = Session::open(Some(&vertices), policy.map(|p| (wal_path.as_path(), p)))
+            .expect("fresh wal");
         let t0 = Instant::now();
         for b in 0..batches {
-            let batch = batch_at(b);
-            if let Some(w) = wal.as_mut() {
-                w.append(&batch).expect("append");
-            }
-            engine.submit_batch(batch);
+            session.add(&batch_at(b));
+            session.commit().expect("commit");
         }
-        let snap = engine.flush();
+        let snap = session.flush().expect("no merge failure");
         let commit_ms = t0.elapsed().as_secs_f64() * 1e3;
         if policy.is_none() {
             base_ms = commit_ms;
@@ -951,7 +953,7 @@ pub fn e21_durability(quick: bool) -> Table {
         );
         // Price the restart: replay the log into fresh state and verify.
         let (replay_ms, recovered, verified) = if policy.is_some() {
-            drop(wal);
+            drop(session);
             let tr = Instant::now();
             let (_, replay) = Wal::open(&wal_path, SyncPolicy::Off).expect("reopen");
             let mut fresh = parcc_solver::IncrementalUnionFind::new(n);
@@ -966,9 +968,11 @@ pub fn e21_durability(quick: bool) -> Table {
         } else {
             ("-".into(), "-".into(), "true".into())
         };
-        json_rows.push(format!(
-            "    {{\"wal\": \"{label}\", \"commit_wall_ms\": {commit_ms:.3}, \"overhead\": {overhead:.3}}}"
-        ));
+        json_rows.push(Json::obj([
+            ("wal", Json::Str(label.into())),
+            ("commit_wall_ms", Json::Num(commit_ms)),
+            ("overhead", Json::Num(overhead)),
+        ]));
         t.row(vec![
             label.into(),
             batches.to_string(),
@@ -982,11 +986,16 @@ pub fn e21_durability(quick: bool) -> Table {
     }
     let _ = std::fs::remove_file(&wal_path);
     if let Ok(path) = std::env::var("PARCC_E21_JSON") {
-        let body = format!(
-            "{{\n  \"workload\": \"gnp n={n} c=3, {batches} batches x {per_batch} edges, union-find serve\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-            json_rows.join(",\n")
-        );
-        if let Err(e) = std::fs::write(&path, body) {
+        let body = Json::obj([
+            (
+                "workload",
+                Json::Str(format!(
+                    "gnp n={n} c=3, {batches} batches x {per_batch} edges, union-find serve"
+                )),
+            ),
+            ("rows", Json::Arr(json_rows)),
+        ]);
+        if let Err(e) = std::fs::write(&path, body.document() + "\n") {
             eprintln!("warning: cannot write {path}: {e}");
         }
     }

@@ -29,8 +29,8 @@
 //! | `off_i..` | shard `i`: `len_i` packed edge words (`u << 32 \| v`) |
 //!
 //! Version-1 files (a 40-byte fixed header, 16-byte table entries, no
-//! checksums) stay fully readable; [`write_binary_v1`] still produces
-//! them for compatibility tests. Writers emit v2 only, and
+//! checksums) stay fully readable; `testdata/v1.pgb` is one, kept for
+//! the compatibility test. Writers emit v2 only, and
 //! [`save_binary`] is **atomic**: stream to `PATH.tmp`, fsync, rename
 //! over `PATH`, fsync the directory — a crash mid-save never leaves a
 //! truncated file at the destination (see
@@ -114,17 +114,7 @@ fn align_up(x: u64) -> u64 {
 /// The deterministic file layout for shard lengths `lens` in the current
 /// (v2) format: per-shard byte offsets and the total file size.
 fn layout(lens: &[usize]) -> (Vec<u64>, u64) {
-    layout_for(lens, FIXED_HEADER_V2, ENTRY_V2)
-}
-
-/// [`layout`] for the legacy v1 header and table geometry.
-fn layout_v1(lens: &[usize]) -> (Vec<u64>, u64) {
-    layout_for(lens, FIXED_HEADER_V1, ENTRY_V1)
-}
-
-/// The layout shared by both versions, parameterized on header geometry.
-fn layout_for(lens: &[usize], fixed: u64, entry: u64) -> (Vec<u64>, u64) {
-    let table_end = fixed + entry * lens.len() as u64;
+    let table_end = FIXED_HEADER_V2 + ENTRY_V2 * lens.len() as u64;
     let mut cursor = align_up(table_end);
     let mut offsets = Vec::with_capacity(lens.len());
     for &len in lens {
@@ -200,44 +190,6 @@ pub fn write_binary<W: Write>(store: &dyn GraphStore, writer: W) -> std::io::Res
     w.write_all(&0u32.to_le_bytes())?; // reserved
     w.write_all(&table)?;
     let mut cursor = FIXED_HEADER_V2 + table.len() as u64;
-    for (i, (&off, &len)) in offsets.iter().zip(&lens).enumerate() {
-        write_padding(&mut w, off - cursor)?;
-        cursor = off;
-        write_edge_words(&mut w, store.shard(i))?;
-        cursor += 8 * len as u64;
-    }
-    if offsets.is_empty() {
-        write_padding(&mut w, total - cursor)?;
-        cursor = total;
-    }
-    debug_assert_eq!(cursor, total);
-    w.flush()?;
-    Ok(total)
-}
-
-/// Serialize in the **legacy v1** layout — 40-byte fixed header, 16-byte
-/// table entries, no checksums. Kept so compatibility tests can mint v1
-/// files and prove they stay readable; production writers emit v2 only.
-///
-/// # Errors
-/// Propagates I/O errors from the underlying writer.
-pub fn write_binary_v1<W: Write>(store: &dyn GraphStore, writer: W) -> std::io::Result<u64> {
-    let k = store.shard_count();
-    let lens: Vec<usize> = (0..k).map(|i| store.shard(i).len()).collect();
-    let (offsets, total) = layout_v1(&lens);
-    let mut w = std::io::BufWriter::with_capacity(1 << 20, writer);
-    w.write_all(&MAGIC)?;
-    w.write_all(&VERSION_V1.to_le_bytes())?;
-    w.write_all(&ENDIAN_TAG.to_le_bytes())?;
-    w.write_all(&(store.n() as u64).to_le_bytes())?;
-    w.write_all(&(store.m() as u64).to_le_bytes())?;
-    w.write_all(&(k as u64).to_le_bytes())?;
-    let mut cursor = FIXED_HEADER_V1;
-    for (&off, &len) in offsets.iter().zip(&lens) {
-        w.write_all(&off.to_le_bytes())?;
-        w.write_all(&(len as u64).to_le_bytes())?;
-        cursor += ENTRY_V1;
-    }
     for (i, (&off, &len)) in offsets.iter().zip(&lens).enumerate() {
         write_padding(&mut w, off - cursor)?;
         cursor = off;
@@ -1174,25 +1126,26 @@ mod tests {
 
     #[test]
     fn v1_files_remain_readable() {
-        let g = gen::with_isolated(&gen::gnp(200, 0.04, 13), 5);
-        let sg = ShardedGraph::from_graph(&g, 4);
-        let tmp = TempPath::new("v1compat");
-        let mut buf = Vec::new();
-        let total = write_binary_v1(&sg, &mut buf).unwrap();
-        assert_eq!(total, buf.len() as u64);
+        // A v1 file written by the last v1 writer: n = 10, shard 0 empty,
+        // shard 1 holding a triangle, an edge and a 3-path; 8 and 9 are
+        // isolated. Two table entries pin the 16-byte v1 stride.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/v1.pgb");
+        let bytes = std::fs::read(path).unwrap();
         assert_eq!(
-            u32::from_le_bytes(buf[8..12].try_into().unwrap()),
+            u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
             VERSION_V1
         );
-        std::fs::write(&tmp.0, &buf).unwrap();
-        let mg = MappedGraph::open(&tmp.0).unwrap();
-        assert_eq!((mg.n(), mg.m(), mg.shard_count()), (sg.n(), sg.m(), 4));
-        for i in 0..4 {
-            assert_eq!(mg.shard(i), sg.shard(i), "shard {i}");
-        }
+        let mg = MappedGraph::open(path).unwrap();
+        assert_eq!((mg.n(), mg.m(), mg.shard_count()), (10, 6, 2));
+        let edges: Vec<Edge> = [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7)]
+            .iter()
+            .map(|&(u, v)| Edge::new(u, v))
+            .collect();
+        assert!(mg.shard(0).is_empty());
+        assert_eq!(mg.shard(1), &edges[..]);
         // No stored CRCs to check, but the endpoint scan still runs.
         mg.validate().unwrap();
-        assert_eq!(*mg.to_flat(), g);
+        assert_eq!(*mg.to_flat(), Graph::new(10, edges));
     }
 
     #[test]

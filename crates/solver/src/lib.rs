@@ -22,16 +22,17 @@
 //! | `hybrid` | concurrent min-root union-find ([`hybrid::HybridSolver`]) | `O(m log n)` | two parallel passes |
 //!
 //! Besides the registry this crate carries the cross-solver drivers:
-//! [`compare`] / [`compare_store`] (run every solver on one graph — flat
-//! or any [`GraphStore`] backend — each labeling checked against the
-//! union-find oracle; the engine behind `parcc compare`, the E12 bench
-//! table, and CI's compare-smoke job) and [`verify_partition`] (the same
-//! check for a single labeling, used by the conformance suite).
+//! the [`compare`] module (run every solver on one graph — flat or any
+//! [`GraphStore`] backend — each labeling checked against the union-find
+//! oracle; the engine behind `parcc compare` and CI's compare-smoke job,
+//! with the `compare --json` writer and the `--baseline` reader) and
+//! [`verify_partition`] (the same check for a single labeling, used by
+//! the conformance suite).
 //!
 //! The [`serve`] module hosts the long-lived serving layer behind
 //! `parcc serve`: background batch absorption into
 //! [`IncrementalUnionFind`] publishing epoch-pinned [`LabelSnapshot`]
-//! views. The [`ooc`] module is the out-of-core driver: it streams a
+//! views, and the line-protocol [`serve::Session`] that drives it. The [`ooc`] module is the out-of-core driver: it streams a
 //! memory-mapped binary store ([`MappedGraph`]) shard-at-a-time through
 //! a union–find forest, keeping residency near one shard.
 
@@ -42,14 +43,14 @@ use parcc_core::{KnownGapSolver, PaperSolver};
 use parcc_graph::traverse::same_partition;
 use parcc_graph::Graph;
 use parcc_ltz::LtzSolver;
-use parcc_pram::cost::Cost;
 use parcc_pram::edge::Vertex;
-use std::time::Duration;
 
+pub mod compare;
 pub mod hybrid;
 pub mod ooc;
 pub mod serve;
 
+pub use compare::{compare, compare_store, CompareRow};
 pub use hybrid::HybridSolver;
 pub use ooc::{solve_out_of_core, OocReport};
 pub use parcc_baselines::IncrementalUnionFind;
@@ -142,78 +143,6 @@ pub fn verify_partition(g: &Graph, labels: &[Vertex]) -> Result<(), String> {
     }
 }
 
-/// One solver's outcome in a [`compare`] run.
-#[derive(Debug, Clone)]
-pub struct CompareRow {
-    /// Registry name.
-    pub name: &'static str,
-    /// Capability flags.
-    pub caps: SolverCaps,
-    /// Distinct components reported.
-    pub components: usize,
-    /// Rounds, for solvers with a round structure.
-    pub rounds: Option<u64>,
-    /// Simulated PRAM cost (zero when the solver doesn't track cost).
-    pub cost: Cost,
-    /// Wall-clock solve time.
-    pub wall: Duration,
-    /// Heap allocations during the solve (zero when the binary has no
-    /// counting-allocator hook — see `parcc_pram::alloc_track`).
-    pub allocs: u64,
-    /// High-water live heap bytes during the solve (same hook).
-    pub peak_bytes: u64,
-    /// Did the labeling match the union-find oracle's partition?
-    pub verified: bool,
-    /// Solver-specific telemetry.
-    pub notes: Vec<(&'static str, String)>,
-    /// Per-phase breakdown (`hybrid`'s two passes, `ltz` per round; empty
-    /// otherwise).
-    pub phases: Vec<parcc_graph::solver::PhaseStat>,
-}
-
-/// Run every registered solver on `g` with a fresh seeded context each,
-/// verifying every labeling against the union-find oracle.
-#[must_use]
-pub fn compare(g: &Graph, seed: u64) -> Vec<CompareRow> {
-    compare_store(g, seed)
-}
-
-/// [`compare`] over any [`GraphStore`] backend: every registered solver
-/// runs through its shard-aware entry (`solve_store`), so sharded inputs
-/// exercise the native `paper`/`ltz` chunk paths while the rest go through
-/// the default flatten adapter. The oracle is computed once on the
-/// flattened graph (free for the flat backend).
-#[must_use]
-pub fn compare_store(store: &dyn GraphStore, seed: u64) -> Vec<CompareRow> {
-    // Scope the flattened copy to the oracle computation: on a sharded
-    // store it is an owned m-edge merge, and keeping it alive across the
-    // registry loop would double peak memory for the whole run.
-    let oracle = {
-        let flat = store.to_flat();
-        oracle_labels(&flat)
-    };
-    REGISTRY
-        .iter()
-        .map(|s| {
-            let ctx = SolveCtx::with_seed(seed);
-            let report = s.solve_store(store, &ctx);
-            CompareRow {
-                name: s.name(),
-                caps: s.caps(),
-                components: report.component_count(),
-                rounds: report.rounds,
-                cost: report.cost,
-                wall: report.wall,
-                allocs: report.allocs,
-                peak_bytes: report.peak_bytes,
-                verified: partition_ok(store.n(), &oracle, &report.labels),
-                notes: report.notes,
-                phases: report.phases,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,48 +179,6 @@ mod tests {
             assert!(begin_incremental(name, 3).is_none(), "{name}");
         }
         assert!(begin_incremental("no-such", 1).is_none());
-    }
-
-    #[test]
-    fn compare_verifies_every_solver() {
-        let g = gen::mixture(4);
-        for row in compare(&g, 5) {
-            assert!(row.verified, "{} failed verification", row.name);
-            assert!(row.components >= 1);
-        }
-    }
-
-    #[test]
-    fn compare_handles_the_empty_graph() {
-        let g = Graph::new(0, vec![]);
-        for row in compare(&g, 1) {
-            assert!(row.verified, "{} failed on empty graph", row.name);
-            assert_eq!(row.components, 0);
-        }
-    }
-
-    #[test]
-    fn compare_store_verifies_every_solver_on_sharded_input() {
-        let g = gen::mixture(6);
-        let sg = ShardedGraph::from_graph(&g, 4);
-        let rows = compare_store(&sg, 5);
-        assert_eq!(rows.len(), registry().len());
-        let flat_rows = compare(&g, 5);
-        for (row, flat) in rows.iter().zip(&flat_rows) {
-            assert!(row.verified, "{} failed on sharded input", row.name);
-            assert_eq!(row.components, flat.components, "{}", row.name);
-        }
-        // The native paths record the shard count they consumed.
-        for name in ["paper", "ltz"] {
-            let row = rows.iter().find(|r| r.name == name).unwrap();
-            assert!(
-                row.notes
-                    .iter()
-                    .any(|(k, v)| *k == "store_shards" && v == "4"),
-                "{name} should note store_shards, got {:?}",
-                row.notes
-            );
-        }
     }
 
     #[test]

@@ -44,10 +44,26 @@
 //! keeps merging subsequent batches. Failed batches are absent from
 //! in-memory state (a WAL replay on restart heals them); flush waiters
 //! always wake.
+//!
+//! ## The line protocol
+//!
+//! [`Session`] is `parcc serve`: an engine plus the writer's edge buffer
+//! and an optional write-ahead log, answering one protocol line per
+//! [`Session::command`]. Three durability rules live in it and nowhere
+//! else: a committed batch is appended to the WAL *before* it is
+//! submitted and acknowledged; each merge failure is reported exactly
+//! once, at the next `flush`; and `save` compacts the WAL only when no
+//! merge has failed, since the log is then the only durable copy of the
+//! failed batches.
 
 use parcc_baselines::IncrementalUnionFind;
+use parcc_graph::io::{save_binary, DEFAULT_LOAD_CHUNK};
 use parcc_graph::snapshot::LabelSnapshot;
+use parcc_graph::store::{GraphStore, ShardedGraph};
+use parcc_graph::wal::{SyncPolicy, Wal};
 use parcc_pram::edge::Edge;
+use std::io::{BufRead, Write};
+use std::path::Path;
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread;
 use std::time::Instant;
@@ -349,6 +365,343 @@ fn merge_loop(state: &mut dyn ServeState, rx: &mpsc::Receiver<Vec<Edge>>, shared
     }
 }
 
+/// What one protocol line produced.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reply {
+    /// A blank line or a `#` comment: nothing to write.
+    Silent,
+    /// The reply (several lines for `help`, and for `stats` under a WAL);
+    /// `error: …` when the command failed, and the session goes on.
+    Text(String),
+    /// `quit` or `exit`: write `bye` and end the session.
+    Quit,
+}
+
+/// The protocol's command list, the `help` reply.
+pub const HELP: &str = "commands:\n\
+    \x20 add u v [u v ...]    buffer edges for the next batch\n\
+    \x20 commit               submit buffered edges as one batch (async merge;\n\
+    \x20                      under --wal the batch is appended to the log\n\
+    \x20                      before the ack, so an acknowledged commit\n\
+    \x20                      survives a crash)\n\
+    \x20 flush                wait until all submitted batches are merged\n\
+    \x20                      (reports `error: merge thread failed` if a\n\
+    \x20                      merge panicked since the last flush)\n\
+    \x20 save PATH            flush, then write the merged connectivity\n\
+    \x20                      forest as a PGB binary (instant restart via\n\
+    \x20                      `parcc serve PATH` — partition-equivalent,\n\
+    \x20                      not the original edges); under --wal the log\n\
+    \x20                      compacts, so restart cost stays O(n + tail)\n\
+    \x20 same-component u v   query the current published snapshot\n\
+    \x20 component-size v     size of v's component\n\
+    \x20 component-count      number of components among tracked vertices\n\
+    \x20 epoch                current published epoch\n\
+    \x20 stats                engine summary, with the last epoch's publish\n\
+    \x20                      wall (publish_us=) and relabel count\n\
+    \x20                      (relabeled=); plus wal:/recovered: lines\n\
+    \x20                      when --wal is active\n\
+    \x20 quit                 exit";
+
+/// A serving session: the engine, the writer's buffered edges, the
+/// optional WAL, and how many merge failures the client has been told of.
+pub struct Session {
+    engine: ServeEngine,
+    pending: Vec<Edge>,
+    wal: Option<Wal>,
+    /// Batches, edges and torn tail bytes the WAL replayed at open.
+    recovered: (u64, u64, u64),
+    reported_failures: u64,
+}
+
+impl Session {
+    /// Absorb `preload` (it becomes the epoch-0 snapshot), open and replay
+    /// the WAL at `wal` if given, and start the engine.
+    ///
+    /// # Errors
+    /// When the WAL cannot be opened or is not a parcc WAL.
+    pub fn open(
+        preload: Option<&dyn GraphStore>,
+        wal: Option<(&Path, SyncPolicy)>,
+    ) -> Result<Self, String> {
+        let mut state = IncrementalUnionFind::new(0);
+        if let Some(g) = preload {
+            state.ensure_n(g.n());
+            for i in 0..g.shard_count() {
+                state.absorb_batch(g.shard(i));
+            }
+        }
+        let mut recovered = (0, 0, 0);
+        let wal = match wal {
+            None => None,
+            Some((path, policy)) => {
+                let (wal, replay) = Wal::open(path, policy)?;
+                // Replay before the engine starts: recovered batches are
+                // part of the epoch-0 snapshot, exactly like a preloaded
+                // graph. Replay is idempotent for connectivity, so batches
+                // also captured in a preloaded snapshot merge harmlessly.
+                state.absorb_batches(&replay.batches);
+                recovered = (replay.batch_count(), replay.edges, replay.torn_bytes);
+                Some(wal)
+            }
+        };
+        Ok(Self {
+            engine: ServeEngine::start(state),
+            pending: Vec::new(),
+            wal,
+            recovered,
+            reported_failures: 0,
+        })
+    }
+
+    /// The recovery summary line under a WAL: what was replayed, from
+    /// where, under which sync policy, and any torn tail truncated.
+    #[must_use]
+    pub fn wal_summary(&self) -> Option<String> {
+        let wal = self.wal.as_ref()?;
+        let (batches, edges, torn) = self.recovered;
+        Some(format!(
+            "wal: replayed {batches} batches ({edges} edges) from {} [sync={}]{}",
+            wal.path().display(),
+            wal.policy().name(),
+            if torn > 0 {
+                format!("; truncated {torn} torn tail bytes")
+            } else {
+                String::new()
+            }
+        ))
+    }
+
+    /// Buffer `edges` for the next [`commit`](Self::commit); returns the
+    /// buffer's length.
+    pub fn add(&mut self, edges: &[Edge]) -> usize {
+        self.pending.extend_from_slice(edges);
+        self.pending.len()
+    }
+
+    /// Submit the buffer as one batch; returns its sequence number and
+    /// edge count. Under a WAL the batch reaches the log first, so every
+    /// acknowledged batch survives a crash.
+    ///
+    /// # Errors
+    /// On an empty buffer, or when the WAL append fails. The buffer is
+    /// then kept, and a retried commit overwrites any torn bytes (the WAL
+    /// rewinds to its last record).
+    pub fn commit(&mut self) -> Result<(u64, usize), String> {
+        if self.pending.is_empty() {
+            return Err("nothing to commit (use `add u v` first)".into());
+        }
+        if let Some(wal) = self.wal.as_mut() {
+            wal.append(&self.pending).map_err(|e| {
+                format!("commit: wal append failed ({e}); batch kept pending, retry commit")
+            })?;
+        }
+        let edges = self.pending.len();
+        Ok((
+            self.engine.submit_batch(std::mem::take(&mut self.pending)),
+            edges,
+        ))
+    }
+
+    /// Wait until every submitted batch is merged; the read barrier.
+    ///
+    /// # Errors
+    /// Once per merge failure since the last flush: asynchronous merge
+    /// failures become visible here.
+    pub fn flush(&mut self) -> Result<Arc<LabelSnapshot>, String> {
+        let snap = self.engine.flush();
+        let failures = self.engine.merge_failures();
+        if failures > self.reported_failures {
+            self.reported_failures = failures;
+            let detail = self
+                .engine
+                .last_merge_error()
+                .unwrap_or_else(|| "unknown panic".into());
+            return Err(format!(
+                "merge thread failed: {detail} (failures={failures}; merging resumed, \
+                 restart with --wal to recover the lost batches)"
+            ));
+        }
+        Ok(snap)
+    }
+
+    /// Flush, then persist the star forest `(v, label(v))` — the smallest
+    /// edge set with the same partition — as a PGB binary at `path`.
+    /// Restarting from it rebuilds identical connectivity from O(n) edges,
+    /// however many inserts the session absorbed. The snapshot then covers
+    /// every merged batch, so the WAL compacts, unless a merge failed.
+    fn save(&mut self, path: &str) -> Result<String, String> {
+        let snap = self.engine.flush();
+        let edges: Vec<Edge> = snap
+            .labels()
+            .iter()
+            .enumerate()
+            .filter(|&(v, &l)| v as u32 != l)
+            .map(|(v, &l)| Edge::new(v as u32, l))
+            .collect();
+        let k = edges.len().div_ceil(DEFAULT_LOAD_CHUNK).max(1);
+        let forest = ShardedGraph::from_slice(snap.n(), &edges, k);
+        let bytes = save_binary(&forest, path).map_err(|e| format!("save {path}: {e}"))?;
+        let mut reply = format!(
+            "saved {path} epoch={} n={} edges={} bytes={bytes}",
+            snap.epoch(),
+            snap.n(),
+            edges.len()
+        );
+        if let Some(wal) = self.wal.as_mut() {
+            if self.engine.merge_failures() == 0 {
+                wal.compact()
+                    .map_err(|e| format!("save {path}: wal compact failed: {e}"))?;
+                reply.push_str(" wal=compacted");
+            } else {
+                reply.push_str(" wal=kept");
+            }
+        }
+        Ok(reply)
+    }
+
+    /// Answer one protocol line.
+    pub fn command(&mut self, line: &str) -> Reply {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return Reply::Silent;
+        }
+        match self.answer(line) {
+            Ok(Some(reply)) => Reply::Text(reply),
+            Ok(None) => Reply::Quit,
+            Err(e) => Reply::Text(format!("error: {e}")),
+        }
+    }
+
+    /// One non-blank line's reply; `None` for `quit`.
+    fn answer(&mut self, line: &str) -> Result<Option<String>, String> {
+        let mut words = line.split_whitespace();
+        let cmd = words.next().unwrap_or_default();
+        let args: Vec<&str> = words.collect();
+        let arity = match cmd {
+            "add" => args.len(),
+            "same-component" => 2,
+            "component-size" | "save" => 1,
+            "commit" | "flush" | "component-count" | "epoch" | "stats" | "help" | "quit"
+            | "exit" => 0,
+            other => return Err(format!("unknown command '{other}' (try `help`)")),
+        };
+        if args.len() > arity {
+            return Err(format!(
+                "{cmd} takes {arity} argument(s); unexpected '{}'",
+                args[arity..].join(" ")
+            ));
+        }
+        let vertex = |i: usize| -> Result<u32, String> {
+            let s = args
+                .get(i)
+                .ok_or_else(|| format!("{cmd}: missing vertex id"))?;
+            s.parse()
+                .map_err(|e| format!("{cmd}: bad vertex '{s}': {e}"))
+        };
+        Ok(Some(match cmd {
+            "add" => {
+                if args.is_empty() || !args.len().is_multiple_of(2) {
+                    return Err(format!(
+                        "add expects an even number of vertex ids, got {}",
+                        args.len()
+                    ));
+                }
+                let mut edges = Vec::with_capacity(args.len() / 2);
+                for i in (0..args.len()).step_by(2) {
+                    let (u, v) = (vertex(i)?, vertex(i + 1)?);
+                    // The vertex space holds ids below u32::MAX (n must
+                    // fit in u32); refuse the rest before the batch
+                    // reaches the WAL.
+                    if u.max(v) == u32::MAX {
+                        return Err(format!(
+                            "add: vertex id {} out of range (max {})",
+                            u32::MAX,
+                            u32::MAX - 1
+                        ));
+                    }
+                    edges.push(Edge::new(u, v));
+                }
+                // All-or-nothing: a parse error above buffers nothing.
+                format!("ok pending={}", self.add(&edges))
+            }
+            "commit" => {
+                let (seq, edges) = self.commit()?;
+                format!("batch {seq} edges={edges}")
+            }
+            "flush" => format!("epoch {}", self.flush()?.epoch()),
+            "save" => self.save(args.first().ok_or("save: missing output path")?)?,
+            "same-component" | "component-size" | "component-count" => {
+                let snap = self.engine.snapshot();
+                let answer = match cmd {
+                    "same-component" => snap.same_component(vertex(0)?, vertex(1)?).to_string(),
+                    "component-size" => snap.component_size(vertex(0)?).to_string(),
+                    _ => snap.component_count().to_string(),
+                };
+                format!("{cmd} {answer} epoch={}", snap.epoch())
+            }
+            "epoch" => format!("epoch {}", self.engine.epoch()),
+            "stats" => self.stats(),
+            "help" => HELP.into(),
+            _ => return Ok(None), // quit | exit
+        }))
+    }
+
+    /// The `stats` reply: engine counters and the last publish, plus the
+    /// `wal:` and `recovered:` lines under a WAL.
+    fn stats(&self) -> String {
+        let e = &self.engine;
+        let snap = e.snapshot();
+        let publish = e.last_publish();
+        let mut reply = format!(
+            "stats algo=union-find n={} components={} epoch={} submitted={} merged={} pending={} failures={} publish_us={} relabeled={}",
+            snap.n(),
+            snap.component_count(),
+            snap.epoch(),
+            e.submitted_batches(),
+            e.merged_batches(),
+            self.pending.len(),
+            e.merge_failures(),
+            publish.micros,
+            publish.relabeled
+        );
+        if let Some(wal) = self.wal.as_ref() {
+            reply.push_str(&format!(
+                "\nwal: path={} sync={} records={} bytes={} synced={}\nrecovered: batches={} edges={}",
+                wal.path().display(),
+                wal.policy().name(),
+                wal.records(),
+                wal.bytes(),
+                wal.syncs(),
+                self.recovered.0,
+                self.recovered.1
+            ));
+        }
+        reply
+    }
+
+    /// The protocol loop: one reply per command line, each flushed before
+    /// the next line is read, until `quit` or the end of `input`.
+    ///
+    /// # Errors
+    /// When reading `input` or writing `out` fails.
+    pub fn run<R: BufRead, W: Write>(&mut self, input: R, mut out: W) -> Result<(), String> {
+        for line in input.lines() {
+            let line = line.map_err(|e| e.to_string())?;
+            let (reply, quit) = match self.command(&line) {
+                Reply::Silent => continue,
+                Reply::Text(reply) => (reply, false),
+                Reply::Quit => ("bye".into(), true),
+            };
+            writeln!(out, "{reply}").map_err(|e| e.to_string())?;
+            out.flush().map_err(|e| e.to_string())?;
+            if quit {
+                break;
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,6 +797,34 @@ mod tests {
         assert!(snap.same_component(2, 3), "merging resumed after panic");
         assert_eq!(engine.merge_failures(), 1, "no further failures");
         assert_eq!(engine.merged_batches(), 2, "failed batch still counted");
+    }
+
+    #[test]
+    fn session_answers_one_reply_per_command_line() {
+        let _guard = parcc_pram::failpoint::scoped("");
+        let preload = gen::path(3);
+        let mut session = Session::open(Some(&preload), None).unwrap();
+        assert_eq!(session.command("# comment"), Reply::Silent);
+        assert_eq!(session.command("quit"), Reply::Quit);
+        let script = "same-component 0 2\n\nadd 3 4\ncommit now\ncommit\nflush\n\
+                      component-size 4 9\ncomponent-size 4\nquit\nepoch\n";
+        let mut out = Vec::new();
+        session.run(script.as_bytes(), &mut out).unwrap();
+        let replies: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+        assert_eq!(
+            replies,
+            [
+                "same-component true epoch=0",
+                "ok pending=1",
+                "error: commit takes 0 argument(s); unexpected 'now'",
+                "batch 1 edges=1",
+                "epoch 1",
+                "error: component-size takes 1 argument(s); unexpected '9'",
+                "component-size 2 epoch=1",
+                "bye",
+            ]
+        );
+        assert!(session.wal_summary().is_none(), "no WAL, no summary");
     }
 
     #[test]

@@ -106,6 +106,8 @@ fn bad_invocations_fail_cleanly() {
         &["compare", "g.txt", "junk"][..],
         &["convert", "g.txt", "g.pgb", "junk"][..],
         &["serve", "g.txt", "junk"][..],
+        &["gen", "cycle", "10", "1", "8", "junk"][..],
+        &["gen", "cycle", "10", "1", "8", "--json"][..],
     ] {
         let out = parcc_bin().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
@@ -116,10 +118,13 @@ fn bad_invocations_fail_cleanly() {
         );
     }
     // Vertex ids are u32: gen refuses a larger graph before building it
-    // (mesh2d's size is the side, so 65536² = 2^32 vertices).
+    // (mesh2d's size is the side, so 65536² = 2^32 vertices). A bad value
+    // is an invocation error like any other: exit 2, before any output.
     for args in [
         &["gen", "mesh2d", "65536"][..],
         &["gen", "path", "4294967297"][..],
+        &["gen", "cycle", "10", "abc"][..],
+        &["gen", "--shards", "0", "gnp", "50"][..],
     ] {
         let out = parcc_bin().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
@@ -384,6 +389,46 @@ fn gen_shards_pipes_through_sharded_compare() {
     assert!(!out.status.success(), "--shards 0 must fail");
 }
 
+/// Re-indent JSON text one value per line, two spaces a level — the
+/// layout `python3 -m json.tool` writes.
+fn reindent(json: &str) -> String {
+    let (mut out, mut depth, mut in_str, mut escaped) = (String::new(), 0usize, false, false);
+    let newline = |out: &mut String, depth: usize| {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    };
+    for c in json.chars() {
+        if in_str {
+            out.push(c);
+            (in_str, escaped) = (escaped || c != '"', !escaped && c == '\\');
+            continue;
+        }
+        match c {
+            '"' => {
+                in_str = true;
+                out.push(c);
+            }
+            '{' | '[' => {
+                depth += 1;
+                out.push(c);
+                newline(&mut out, depth);
+            }
+            '}' | ']' => {
+                depth -= 1;
+                newline(&mut out, depth);
+                out.push(c);
+            }
+            ',' => {
+                out.push(c);
+                newline(&mut out, depth);
+            }
+            c if c.is_whitespace() => {}
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// `compare --baseline` warns (warn-only) on slowdowns against a stored
 /// `compare --json` run, and stays quiet when nothing regressed.
 #[test]
@@ -449,7 +494,7 @@ fn compare_baseline_hook_warns_on_slowdowns_only() {
             }
         })
         .collect();
-    std::fs::write(&base, generous).unwrap();
+    std::fs::write(&base, &generous).unwrap();
     let out = parcc_bin()
         .args(["compare", "--baseline"])
         .arg(&base)
@@ -462,6 +507,47 @@ fn compare_baseline_hook_warns_on_slowdowns_only() {
         !err.contains("wall") || !err.contains("vs baseline"),
         "no wall warnings expected, got: {err}"
     );
+
+    // The baseline is read by key, not by line: the same document
+    // re-indented one value per line still reads, and stays quiet.
+    std::fs::write(&base, reindent(&generous)).unwrap();
+    let out = parcc_bin()
+        .args(["compare", "--baseline"])
+        .arg(&base)
+        .arg(&graph)
+        .output()
+        .unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        out.status.success(),
+        "re-indented baseline must read: {err}"
+    );
+    assert!(!err.contains("vs baseline"), "no warnings expected: {err}");
+
+    // A file holding several runs (CI's BENCH_compare.json) is not one
+    // baseline, and neither is a run on a graph of another size.
+    let other = std::env::temp_dir().join(format!("parcc-cli-base-o-{}.txt", std::process::id()));
+    let gen_other = parcc_bin()
+        .args(["gen", "gnp", "301", "5"])
+        .output()
+        .unwrap();
+    std::fs::write(&other, &gen_other.stdout).unwrap();
+    let runs = format!("{{\n\"g_t1\": {generous},\n\"g_t4\": {generous}\n}}");
+    let multi = std::env::temp_dir().join(format!("parcc-cli-base-m-{}.json", std::process::id()));
+    std::fs::write(&multi, runs).unwrap();
+    for (baseline, input, needle) in [(&multi, &graph, "not one"), (&base, &other, "vertices")] {
+        let out = parcc_bin()
+            .args(["compare", "--baseline"])
+            .arg(baseline)
+            .arg(input)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{baseline:?} on {input:?} must fail");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(needle), "expected '{needle}', got: {err}");
+    }
+    let _ = std::fs::remove_file(&other);
+    let _ = std::fs::remove_file(&multi);
 
     // A garbage baseline file is a hard error (it's an explicit request).
     let out = parcc_bin()

@@ -644,7 +644,7 @@ fn serve_binary_wal_flag_gating() {
         ])
         .output()
         .unwrap();
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("bogus"),
         "{}",

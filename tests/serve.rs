@@ -490,6 +490,42 @@ fn serve_binary_selects_registry_algos_and_rejects_garbage() {
     assert_eq!(lines[4], "epoch 0");
     assert_eq!(lines[5], "bye");
 
+    // A word past a command's arity is an error, not ignored: `save a
+    // b.pgb` must not write `a`, and the buffered edge stays pending.
+    let dir = std::env::temp_dir();
+    let (a, b) = (
+        dir.join(format!("parcc-serve-extra-{}-a", std::process::id())),
+        dir.join(format!("parcc-serve-extra-{}-b.pgb", std::process::id())),
+    );
+    let script = format!(
+        "add 0 1\nsave {} {}\nsame-component 1 2 3\ncommit now\nepoch 7\n\
+         commit\nflush\nsame-component 0 1\nquit\n",
+        a.display(),
+        b.display()
+    );
+    let lines = serve_script(&["serve"], &script);
+    assert_eq!(lines[0], "ok pending=1");
+    for (i, cmd) in [
+        (1, "save"),
+        (2, "same-component"),
+        (3, "commit"),
+        (4, "epoch"),
+    ] {
+        assert!(
+            lines[i].starts_with(&format!("error: {cmd} takes")),
+            "got: {}",
+            lines[i]
+        );
+    }
+    assert!(
+        !a.exists() && !b.exists(),
+        "save with a trailing word wrote a file"
+    );
+    assert_eq!(lines[5], "batch 1 edges=1");
+    assert_eq!(lines[6], "epoch 1");
+    assert_eq!(lines[7], "same-component true epoch=1");
+    assert_eq!(lines[8], "bye");
+
     // u32::MAX is not a vertex id: `add` refuses it before anything is
     // buffered, and the session's later answers stay exact.
     let lines = serve_script(
