@@ -15,12 +15,17 @@
 //! label page and two size pages, whatever n is — and the snapshot is
 //! published with an `Arc` swap.
 //!
-//! Readers call [`ServeEngine::snapshot`]: a brief read-lock to clone the
-//! current `Arc`, after which every query runs against that pinned epoch
-//! with no locks at all. Reads therefore **never block on an in-flight
-//! merge** and **never observe a half-merged epoch** — the merge thread
-//! builds each snapshot off to the side and the swap is atomic. This is
-//! the Liu–Tarjan concurrent-labeling contract specialized to a
+//! Readers call [`ServeEngine::snapshot`] to pin the current `Arc`, after
+//! which every query runs against that pinned epoch with no locks at all.
+//! Each thread caches its last pin as a `Weak` keyed by engine and epoch,
+//! and the merge thread stores the published epoch in an atomic inside
+//! the swap; a pin whose key still matches upgrades the `Weak`, so a
+//! thread takes the snapshot's read lock again only after a publish. The
+//! cache holds no snapshot alive: a dropped engine's last epoch is freed
+//! as soon as its callers let go. Reads therefore **never block on an
+//! in-flight merge** and **never observe a half-merged epoch** — the merge
+//! thread builds each snapshot off to the side and the swap is atomic.
+//! This is the Liu–Tarjan concurrent-labeling contract specialized to a
 //! single-writer world: readers only ever see published fixpoints.
 //!
 //! ## Batching and epochs
@@ -31,7 +36,10 @@
 //! last epoch's publish wall and relabel count. Epochs are monotone;
 //! [`ServeEngine::flush`] blocks until everything submitted so far is
 //! reflected in the published snapshot (the read barrier a
-//! read-your-writes client needs).
+//! read-your-writes client needs). It stays the barrier under the pin
+//! cache: the epoch is stored before `merged` moves, so once a flush
+//! returns, a pin on any thread it has signalled sees the flushed epoch
+//! or a later one.
 //!
 //! ## Supervision
 //!
@@ -62,9 +70,11 @@ use parcc_graph::snapshot::LabelSnapshot;
 use parcc_graph::store::{GraphStore, ShardedGraph};
 use parcc_graph::wal::{SyncPolicy, Wal};
 use parcc_pram::edge::Edge;
+use std::cell::RefCell;
 use std::io::{BufRead, Write};
 use std::path::Path;
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock, Weak};
 use std::thread;
 use std::time::Instant;
 
@@ -80,7 +90,8 @@ pub trait ServeState {
 
     /// The snapshot for `epoch`, built from `prev` — the last snapshot
     /// published from this state, or [`LabelSnapshot::empty`] at start —
-    /// and the number of vertices relabeled since `prev`.
+    /// and the number of vertices relabeled since `prev`. The snapshot
+    /// must carry `epoch`: readers' pin caches key on it.
     fn publish(&mut self, prev: &LabelSnapshot, epoch: u64) -> (LabelSnapshot, u64);
 }
 
@@ -115,14 +126,45 @@ struct Progress {
     last_publish: PublishStats,
 }
 
+/// Source of [`Shared::id`]: ids are never reused, so a pin cached for a
+/// dropped engine can never match a later one.
+static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(0);
+
 /// State shared between the engine handle and the merge thread.
 struct Shared {
+    /// Keys this engine's entries in the per-thread [`PIN`] cache.
+    id: u64,
+    /// The published snapshot's epoch, stored (`Release`) inside the
+    /// write-locked swap and loaded (`Acquire`) by every pin.
+    epoch: AtomicU64,
     /// The published snapshot. Writers swap the `Arc` under a brief write
-    /// lock; readers clone it under a brief read lock. Neither side ever
+    /// lock; a reader clones it under a brief read lock only when its
+    /// thread's [`PIN`] is stale, i.e. once per publish. Neither side ever
     /// holds the lock while *building* anything.
     snapshot: RwLock<Arc<LabelSnapshot>>,
     progress: Mutex<Progress>,
     merged_cv: Condvar,
+}
+
+impl Shared {
+    /// Pin through the lock, the path every thread takes once per publish.
+    fn pin_locked(&self) -> Arc<LabelSnapshot> {
+        Arc::clone(&self.snapshot.read().expect("snapshot poisoned"))
+    }
+}
+
+/// A thread's last pin: the engine id, the epoch it was published at and
+/// a `Weak` to it, so the cache never keeps a snapshot alive.
+struct Pin {
+    engine: u64,
+    epoch: u64,
+    snap: Weak<LabelSnapshot>,
+}
+
+thread_local! {
+    static PIN: RefCell<Pin> = const {
+        RefCell::new(Pin { engine: u64::MAX, epoch: 0, snap: Weak::new() })
+    };
 }
 
 /// A running serve engine: one background merge thread plus the published
@@ -142,6 +184,8 @@ impl ServeEngine {
     pub fn start(mut state: impl ServeState + Send + 'static) -> Self {
         let (initial, last_publish) = timed_publish(&mut state, &LabelSnapshot::empty(0), 0);
         let shared = Arc::new(Shared {
+            id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
+            epoch: AtomicU64::new(initial.epoch()),
             snapshot: RwLock::new(Arc::new(initial)),
             progress: Mutex::new(Progress {
                 submitted: 0,
@@ -182,23 +226,40 @@ impl ServeEngine {
         seq
     }
 
-    /// Pin the current published snapshot. A brief read-lock to clone the
-    /// `Arc`; all queries on the returned snapshot are lock-free and the
-    /// view is immutable — later merges publish *new* snapshots.
+    /// Pin the current published snapshot. While nothing new has been
+    /// published, this upgrades the thread's cached `Weak`; after a
+    /// publish, the thread's first pin takes a brief read lock to clone
+    /// the new `Arc` and re-fills the cache. All queries on the returned
+    /// snapshot are lock-free and the view is immutable — later merges
+    /// publish *new* snapshots.
     #[must_use]
     pub fn snapshot(&self) -> Arc<LabelSnapshot> {
-        Arc::clone(&self.shared.snapshot.read().expect("snapshot poisoned"))
+        let shared = &*self.shared;
+        PIN.try_with(|pin| {
+            let mut pin = pin.borrow_mut();
+            if pin.engine == shared.id && pin.epoch == shared.epoch.load(Ordering::Acquire) {
+                if let Some(snap) = pin.snap.upgrade() {
+                    return snap;
+                }
+            }
+            let snap = shared.pin_locked();
+            *pin = Pin {
+                engine: shared.id,
+                epoch: snap.epoch(),
+                snap: Arc::downgrade(&snap),
+            };
+            snap
+        })
+        // The cache is gone while the thread's locals are torn down.
+        .unwrap_or_else(|_| shared.pin_locked())
     }
 
     /// Block until every batch submitted before this call is reflected in
     /// the published snapshot, then return that snapshot (read barrier).
     #[must_use]
     pub fn flush(&self) -> Arc<LabelSnapshot> {
-        let target = {
-            let p = self.shared.progress.lock().expect("progress poisoned");
-            p.submitted
-        };
         let mut p = self.shared.progress.lock().expect("progress poisoned");
+        let target = p.submitted;
         while p.merged < target {
             p = self.shared.merged_cv.wait(p).expect("progress poisoned");
         }
@@ -273,7 +334,7 @@ impl ServeEngine {
     /// Epoch of the currently published snapshot.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.snapshot().epoch()
+        self.shared.epoch.load(Ordering::Acquire)
     }
 }
 
@@ -318,7 +379,7 @@ fn timed_publish(
 /// as failed (previous snapshot stays live) and the loop continues — the
 /// supervisor contract from the module docs.
 fn merge_loop(state: &mut dyn ServeState, rx: &mpsc::Receiver<Vec<Edge>>, shared: &Shared) {
-    let mut current = Arc::clone(&shared.snapshot.read().expect("snapshot poisoned"));
+    let mut current = shared.pin_locked();
     while let Ok(first) = rx.recv() {
         let mut group = vec![first];
         while group.len() < COALESCE {
@@ -349,7 +410,13 @@ fn merge_loop(state: &mut dyn ServeState, rx: &mpsc::Receiver<Vec<Edge>>, shared
         match outcome {
             Ok((fresh, stats)) => {
                 current = Arc::new(fresh);
-                *shared.snapshot.write().expect("snapshot poisoned") = Arc::clone(&current);
+                {
+                    let mut published = shared.snapshot.write().expect("snapshot poisoned");
+                    *published = Arc::clone(&current);
+                    // Release pairs with the Acquire in `snapshot`/`epoch`;
+                    // `merged` moves only after this, so a flush sees it.
+                    shared.epoch.store(current.epoch(), Ordering::Release);
+                }
                 let mut p = shared.progress.lock().expect("progress poisoned");
                 p.merged += group.len() as u64;
                 p.last_publish = stats;

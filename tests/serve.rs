@@ -180,6 +180,143 @@ fn reads_do_not_block_on_an_in_flight_merge() {
     assert_eq!(engine.flush().epoch(), 1);
 }
 
+/// An engine over `n` singletons.
+fn engine_over(n: usize) -> ServeEngine {
+    ServeEngine::start(begin_incremental("union-find", n).unwrap())
+}
+
+#[test]
+fn two_engines_read_alternately_on_one_thread_keep_their_own_pins() {
+    // Each thread caches one pin; it must be keyed by engine as well as
+    // by epoch, or engine b would answer from a's cached snapshot while
+    // both publish the same epoch number.
+    let (a, b) = (engine_over(10), engine_over(20));
+    for round in 0..6u32 {
+        for _ in 0..3 {
+            let (sa, sb) = (a.snapshot(), b.snapshot());
+            assert_eq!((sa.n(), sa.epoch()), (10, a.epoch()), "round {round}");
+            assert_eq!((sb.n(), sb.epoch()), (20, b.epoch()), "round {round}");
+            assert_eq!(sa.component_size(0), round as usize + 1);
+            assert_eq!(sb.component_size(0), (round as usize).div_ceil(2) + 1);
+        }
+        // a publishes every round, b every other round: their epochs
+        // coincide in the first two rounds and then drift apart.
+        a.submit_batch(vec![Edge::new(round, round + 1)]);
+        assert_eq!(a.flush().epoch(), u64::from(round) + 1);
+        if round % 2 == 0 {
+            b.submit_batch(vec![Edge::new(round / 2, round / 2 + 1)]);
+            assert_eq!(b.flush().epoch(), u64::from(round / 2) + 1);
+        }
+    }
+}
+
+#[test]
+fn a_flushed_epoch_sent_to_another_thread_is_visible_to_its_next_pin() {
+    let engine = engine_over(100);
+    let (pinned_tx, pinned_rx) = std::sync::mpsc::channel::<u64>();
+    let (epoch_tx, epoch_rx) = std::sync::mpsc::channel::<u64>();
+    std::thread::scope(|scope| {
+        let engine = &engine;
+        scope.spawn(move || {
+            // Cache a pin of the old epoch on this thread first, and keep
+            // it alive so the cached `Weak` still upgrades afterwards.
+            let old = engine.snapshot();
+            pinned_tx.send(old.epoch()).unwrap();
+            let flushed = epoch_rx.recv().unwrap();
+            assert!(flushed > old.epoch());
+            assert!(engine.snapshot().epoch() >= flushed, "stale cached pin");
+            assert!(engine.epoch() >= flushed);
+            assert!(engine.snapshot().same_component(0, 1));
+            assert!(!old.same_component(0, 1));
+        });
+        assert_eq!(pinned_rx.recv().unwrap(), 0);
+        engine.submit_batch(vec![Edge::new(0, 1)]);
+        epoch_tx.send(engine.flush().epoch()).unwrap();
+    });
+}
+
+#[test]
+fn a_thread_pin_does_not_keep_a_dropped_engines_snapshot_alive() {
+    let engine = Arc::new(engine_over(1000));
+    engine.submit_batch(vec![Edge::new(0, 1)]);
+    assert_eq!(engine.flush().epoch(), 1);
+    let (weak_tx, weak_rx) = std::sync::mpsc::channel();
+    let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
+    let reader = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || {
+            // Pin the engine's last epoch, leaving it in this thread's
+            // cache, and let go of everything but the cache itself before
+            // the main thread looks.
+            let snap = engine.snapshot();
+            let weak = Arc::downgrade(&snap);
+            drop((snap, engine));
+            weak_tx.send(weak).unwrap();
+            // Stay alive, cache and all, until the main thread has looked.
+            exit_rx.recv().unwrap();
+        })
+    };
+    let weak = weak_rx.recv().unwrap();
+    assert!(weak.upgrade().is_some(), "the engine still publishes it");
+    drop(engine);
+    assert!(
+        weak.upgrade().is_none(),
+        "a cached pin kept a dropped engine's snapshot alive"
+    );
+    exit_tx.send(()).unwrap();
+    reader.join().unwrap();
+}
+
+#[test]
+fn concurrent_readers_see_monotone_epochs_matching_their_labels() {
+    // Batch i adds edge (i, i+1) and is flushed alone, so epoch e is
+    // exactly the path 0..=e: a pin whose labels belong to another epoch
+    // shows up as a wrong component size.
+    const BATCHES: u32 = 200;
+    let engine = engine_over(BATCHES as usize + 1);
+    let start = std::sync::Barrier::new(5);
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..4)
+            .map(|_| {
+                let (engine, start, done) = (&engine, &start, &done);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut last = 0;
+                    let mut pins = 0u64;
+                    while !done.load(std::sync::atomic::Ordering::Acquire) {
+                        let floor = engine.epoch();
+                        let snap = engine.snapshot();
+                        let e = snap.epoch();
+                        assert!(e >= last, "epoch went back {last} -> {e}");
+                        assert!(e >= floor, "pin {e} older than epoch() {floor}");
+                        assert_eq!(snap.component_size(0) as u64, e + 1);
+                        last = e;
+                        pins += 1;
+                    }
+                    (engine.snapshot().epoch(), engine.epoch(), pins)
+                })
+            })
+            .collect();
+        start.wait();
+        let flushed: Vec<u64> = (0..BATCHES)
+            .map(|i| {
+                engine.submit_batch(vec![Edge::new(i, i + 1)]);
+                engine.flush().epoch()
+            })
+            .collect();
+        // Stop the readers before asserting, so a failure cannot leave
+        // them spinning.
+        done.store(true, std::sync::atomic::Ordering::Release);
+        assert!(flushed.iter().copied().eq(1..=u64::from(BATCHES)));
+        for r in readers {
+            let (pinned, epoch, pins) = r.join().unwrap();
+            assert_eq!((pinned, epoch), (u64::from(BATCHES), u64::from(BATCHES)));
+            assert!(pins > 0);
+        }
+    });
+}
+
 /// splitmix64: a tiny deterministic stream for randomized batch streams.
 struct Mix(u64);
 
