@@ -951,8 +951,9 @@ pub fn e21_durability(quick: bool) -> Table {
             parcc_graph::traverse::same_partition(snap.labels(), &oracle),
             "served partition diverges from the oracle (wal={label})"
         );
-        // Price the restart: replay the log into fresh state and verify.
-        let (replay_ms, recovered, verified) = if policy.is_some() {
+        // Price the restart: replay the log into fresh state and verify
+        // that every batch came back and reproduces the partition.
+        let replayed = policy.is_some().then(|| {
             drop(session);
             let tr = Instant::now();
             let (_, replay) = Wal::open(&wal_path, SyncPolicy::Off).expect("reopen");
@@ -960,29 +961,43 @@ pub fn e21_durability(quick: bool) -> Table {
             fresh.absorb_batches(&replay.batches);
             let labels = fresh.labels();
             let ms = tr.elapsed().as_secs_f64() * 1e3;
-            (
-                f(ms),
-                replay.batch_count().to_string(),
-                parcc_graph::traverse::same_partition(&labels, &oracle).to_string(),
-            )
-        } else {
-            ("-".into(), "-".into(), "true".into())
+            (ms, replay.batch_count(), labels)
+        });
+        let verified = replayed
+            .as_ref()
+            .is_none_or(|(_, _, labels)| parcc_graph::traverse::same_partition(labels, &oracle));
+        let (replay_ms, recovered) = match &replayed {
+            Some((ms, recovered, _)) => (Some(*ms), Some(*recovered)),
+            None => (None, None),
         };
-        json_rows.push(Json::obj([
-            ("wal", Json::Str(label.into())),
-            ("commit_wall_ms", Json::Num(commit_ms)),
-            ("overhead", Json::Num(overhead)),
-        ]));
         t.row(vec![
             label.into(),
             batches.to_string(),
             per_batch.to_string(),
             f(commit_ms),
             f(overhead),
-            replay_ms,
-            recovered,
-            verified,
+            replay_ms.map_or_else(|| "-".into(), f),
+            recovered.map_or_else(|| "-".into(), |r| r.to_string()),
+            verified.to_string(),
         ]);
+        json_rows.push(Json::obj([
+            ("wal", Json::Str(label.into())),
+            ("commit_wall_ms", Json::Num(commit_ms)),
+            ("overhead", Json::Num(overhead)),
+            ("replay_ms", replay_ms.map_or(Json::Null, Json::Num)),
+            ("recovered", recovered.map_or(Json::Null, Json::Int)),
+            ("verified", Json::Bool(verified)),
+        ]));
+        if let Some(recovered) = recovered {
+            assert_eq!(
+                recovered, batches as u64,
+                "replay recovered {recovered} of {batches} batches (wal={label})"
+            );
+        }
+        assert!(
+            verified,
+            "replayed partition diverges from the oracle (wal={label})"
+        );
     }
     let _ = std::fs::remove_file(&wal_path);
     if let Ok(path) = std::env::var("PARCC_E21_JSON") {
@@ -993,6 +1008,7 @@ pub fn e21_durability(quick: bool) -> Table {
                     "gnp n={n} c=3, {batches} batches x {per_batch} edges, union-find serve"
                 )),
             ),
+            ("batches", Json::Int(batches as u64)),
             ("rows", Json::Arr(json_rows)),
         ]);
         if let Err(e) = std::fs::write(&path, body.document() + "\n") {

@@ -57,10 +57,10 @@
 //! decode-to-heap fallback ([`MappedGraph::open_heap`]); `open` picks the
 //! zero-copy mapping whenever the platform supports it.
 
-use crate::crc::{crc32, Crc32};
+use crate::crc::Crc32;
 use crate::repr::{Csr, Graph};
 use crate::store::{par_map_shards, GraphStore};
-use parcc_pram::edge::{edges_from_words, Edge};
+use parcc_pram::edge::{edge_words, edges_from_words, Edge};
 use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -132,23 +132,14 @@ fn layout(lens: &[usize]) -> (Vec<u64>, u64) {
 
 /// CRC-32 of a shard's on-disk bytes — the packed little-endian edge
 /// words. This is the per-shard sum stored in the v2 table, exposed so
-/// tests and tools can recompute it.
+/// tests and tools can recompute it. The words are folded by value (each
+/// as its 8 little-endian bytes), so the sum needs no byte view of the
+/// slice and is the same on any host byte order.
 #[must_use]
 pub fn shard_checksum(edges: &[Edge]) -> u32 {
-    if cfg!(target_endian = "little") {
-        // SAFETY: Edge is repr(transparent) over u64; on a little-endian
-        // host its in-memory bytes are exactly the on-disk LE encoding.
-        // The slice covers edges.len() * 8 initialized bytes.
-        let bytes =
-            unsafe { std::slice::from_raw_parts(edges.as_ptr().cast::<u8>(), edges.len() * 8) };
-        crc32(bytes)
-    } else {
-        let mut h = Crc32::new();
-        for e in edges {
-            h.update(&e.0.to_le_bytes());
-        }
-        h.finish()
-    }
+    let mut h = Crc32::new();
+    h.update_words(edge_words(edges));
+    h.finish()
 }
 
 /// Serialize any [`GraphStore`] backend in the PGB v2 binary format.
@@ -836,6 +827,7 @@ mod sys {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc::crc32;
     use crate::generators as gen;
     use crate::store::ShardedGraph;
 
@@ -1109,6 +1101,16 @@ mod tests {
     }
 
     #[test]
+    fn shard_checksum_format_pins() {
+        // Values written by the byte-at-a-time kernel the v2 format shipped
+        // with: the sliced kernel must reproduce them bit for bit.
+        let edges: Vec<Edge> = (0..1000u32).map(|i| Edge::new(i, 3 * i + 1)).collect();
+        assert_eq!(shard_checksum(&edges), 0x0220_1DC7);
+        assert_eq!(shard_checksum(&edges[..7]), 0x1D08_53D3);
+        assert_eq!(shard_checksum(&[]), 0);
+    }
+
+    #[test]
     fn shard_checksum_catches_data_corruption() {
         // Flip one low bit in the first edge word: the endpoints stay in
         // range, so only the shard CRC can catch it.
@@ -1146,6 +1148,28 @@ mod tests {
         // No stored CRCs to check, but the endpoint scan still runs.
         mg.validate().unwrap();
         assert_eq!(*mg.to_flat(), Graph::new(10, edges));
+    }
+
+    #[test]
+    fn v2_files_written_by_the_bytewise_kernel_validate_and_rewrite_identically() {
+        // A v2 file written before the sliced CRC kernel: `gen --shards 3
+        // gnp 40 2 3`, shards of 7, 15 and 23 edges (odd lengths end on a
+        // half block). Its stored shard and header sums must verify, and
+        // rewriting it must reproduce every byte, CRCs included.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/v2.pgb");
+        let bytes = std::fs::read(path).unwrap();
+        assert_eq!(
+            u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
+            VERSION
+        );
+        let mg = MappedGraph::open(path).unwrap();
+        assert_eq!((mg.n(), mg.m(), mg.shard_count()), (40, 45, 3));
+        let lens: Vec<usize> = (0..3).map(|i| mg.shard(i).len()).collect();
+        assert_eq!(lens, [7, 15, 23]);
+        mg.validate().unwrap();
+        let mut rewritten = Vec::new();
+        write_binary(&mg, &mut rewritten).unwrap();
+        assert!(rewritten == bytes, "rewrite differs from the stored file");
     }
 
     #[test]

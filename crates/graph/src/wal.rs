@@ -44,7 +44,7 @@
 //! see [`crate::mmap::save_binary`]), then [`Wal::compact`] truncates the
 //! log, so restart cost stays `O(n + tail)` instead of replaying history.
 
-use parcc_pram::edge::{edges_from_words, Edge};
+use parcc_pram::edge::{edge_words, Edge};
 use parcc_pram::failpoint;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -163,12 +163,12 @@ fn scan_records(mut r: impl Read, file_len: u64) -> (Replay, u64) {
         if crate::crc::crc32(&payload) != crc {
             break; // checksum mismatch: torn or corrupt tail
         }
-        let words: Vec<u64> = payload
+        let batch: Vec<Edge> = payload
             .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+            .map(|c| Edge(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
             .collect();
-        replay.edges += words.len() as u64;
-        replay.batches.push(edges_from_words(&words).to_vec());
+        replay.edges += batch.len() as u64;
+        replay.batches.push(batch);
         valid_end += RECORD_HEADER + u64::from(len);
     }
     replay.torn_bytes = file_len - valid_end;
@@ -290,9 +290,7 @@ impl Wal {
         let mut record = Vec::with_capacity(RECORD_HEADER as usize + edges.len() * 8);
         record.extend_from_slice(&((edges.len() * 8) as u32).to_le_bytes());
         let mut crc = crate::crc::Crc32::new();
-        for e in edges {
-            crc.update(&e.0.to_le_bytes());
-        }
+        crc.update_words(edge_words(edges));
         record.extend_from_slice(&crc.finish().to_le_bytes());
         for e in edges {
             record.extend_from_slice(&e.0.to_le_bytes());
@@ -446,6 +444,54 @@ mod tests {
         assert_eq!(replay.edges, 9);
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(wal.records(), 4);
+    }
+
+    #[test]
+    fn record_crc_field_is_pinned() {
+        // The record CRC covers the LE edge words exactly as the v1 format
+        // shipped: this value was written by the byte-at-a-time kernel.
+        let _fp = failpoint::scoped("");
+        let tmp = TempPath::new("crcpin");
+        let edges: Vec<Edge> = (0..7u32).map(|i| Edge::new(i, 3 * i + 1)).collect();
+        let (mut wal, _) = Wal::open(&tmp.0, SyncPolicy::Off).unwrap();
+        wal.append(&edges).unwrap();
+        drop(wal);
+        let bytes = std::fs::read(&tmp.0).unwrap();
+        let head = WAL_HEADER as usize;
+        assert_eq!(
+            u32::from_le_bytes(bytes[head..head + 4].try_into().unwrap()),
+            7 * 8
+        );
+        assert_eq!(
+            u32::from_le_bytes(bytes[head + 4..head + 8].try_into().unwrap()),
+            0x1D08_53D3
+        );
+        let (_, replay) = Wal::open(&tmp.0, SyncPolicy::Off).unwrap();
+        assert_eq!(replay.batches, vec![edges]);
+    }
+
+    #[test]
+    fn logs_written_by_the_bytewise_kernel_replay_and_reappend_identically() {
+        // A log written by `parcc serve --wal` before the sliced CRC
+        // kernel: five commits of 1, 2, 7, 33 and 16 edges. Every record
+        // must replay, and appending the replayed batches to a fresh log
+        // must reproduce the file byte for byte.
+        let _fp = failpoint::scoped("");
+        let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/v1.wal");
+        let bytes = std::fs::read(fixture).unwrap();
+        let old = TempPath::new("fixture");
+        std::fs::write(&old.0, &bytes).unwrap();
+        let (_, replay) = Wal::open(&old.0, SyncPolicy::Off).unwrap();
+        let lens: Vec<usize> = replay.batches.iter().map(Vec::len).collect();
+        assert_eq!(lens, [1, 2, 7, 33, 16]);
+        assert_eq!((replay.edges, replay.torn_bytes), (59, 0));
+        let fresh = TempPath::new("reappend");
+        let (mut wal, _) = Wal::open(&fresh.0, SyncPolicy::Off).unwrap();
+        for b in &replay.batches {
+            wal.append(b).unwrap();
+        }
+        drop(wal);
+        assert!(std::fs::read(&fresh.0).unwrap() == bytes);
     }
 
     #[test]

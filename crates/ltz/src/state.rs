@@ -277,12 +277,27 @@ impl LtzState {
 
     /// Single-probe insert of `w` into `H(v)` (paper Steps 4/6). No-op
     /// `Collision` if the table is unallocated.
+    ///
+    /// The probed slot is loaded first and the CAS issued only on `FREE`.
+    /// This answers exactly as a bare CAS would: while inserts run, a slot
+    /// only ever moves from `FREE` to an item (drains never overlap
+    /// another thread's inserts into the same table), so a taken slot
+    /// still holds the loaded item. Most Step 4 inserts hit a taken slot,
+    /// and a load does not claim the cache line exclusively.
     pub fn insert(&self, v: Vertex, w: Vertex) -> Insert {
         let (slots, list) = self.block(v);
         if slots.is_empty() {
             return Insert::Collision;
         }
         let slot = (self.hash_stream.hash(w as u64) as usize) & (slots.len() - 1);
+        let cur = slots[slot].load(Ordering::Relaxed);
+        if cur != FREE {
+            return if cur == w {
+                Insert::Present
+            } else {
+                Insert::Collision
+            };
+        }
         match slots[slot].compare_exchange(FREE, w, Ordering::Relaxed, Ordering::Relaxed) {
             Ok(_) => {
                 // Distinct slots bound the number of News by the capacity, so
@@ -390,11 +405,19 @@ impl LtzState {
         let mut end = self.pool.len();
         let mut live = self.live_slots.load(Ordering::Relaxed);
         let (mut granted, mut clamps) = (0u64, 0u64);
+        // `table_size` costs two float pows and a walk sees few distinct
+        // (small) levels: size each level once, without allocating.
+        let mut sizes = [None; 64];
         for &v in vs {
             if self.cap[v as usize] != 0 {
                 continue;
             }
-            let want = self.budget.table_size(self.level(v));
+            let level = self.level(v);
+            let want = match sizes.get_mut(level as usize) {
+                Some(Some(size)) => *size,
+                Some(memo) => *memo.insert(self.budget.table_size(level)),
+                None => self.budget.table_size(level),
+            };
             let (grant, clamped) = self.grant(want, 0, live);
             clamps += u64::from(clamped);
             let Some(grant) = grant else {
