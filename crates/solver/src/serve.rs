@@ -15,6 +15,15 @@
 //! label page and two size pages, whatever n is — and the snapshot is
 //! published with an `Arc` swap.
 //!
+//! A submit wakes the merge thread, and the scheduler may place it on the
+//! writer's own core (it often does on a busy shared host); a freshly
+//! woken thread then takes the core at once, and the writer waits out the
+//! whole absorb inside `submit_batch`. On a 2-vCPU host those waits came
+//! to a third of a 1M-edge bulk ingest in some runs and to nothing in
+//! others. So the merge thread yields once each time it wakes: the writer
+//! keeps its core, and the merge runs on another core or once the writer
+//! blocks (in its next fsync or flush).
+//!
 //! Readers call [`ServeEngine::snapshot`] to pin the current `Arc`, after
 //! which every query runs against that pinned epoch with no locks at all.
 //! Each thread caches its last pin as a `Weak` keyed by engine and epoch,
@@ -381,6 +390,11 @@ fn timed_publish(
 fn merge_loop(state: &mut dyn ServeState, rx: &mpsc::Receiver<Vec<Edge>>, shared: &Shared) {
     let mut current = shared.pin_locked();
     while let Ok(first) = rx.recv() {
+        // A submit that woke this thread may have put it on the writer's
+        // core, where it would run the whole absorb before the writer
+        // gets the core back (see the module docs): hand the core back
+        // first.
+        thread::yield_now();
         let mut group = vec![first];
         while group.len() < COALESCE {
             match rx.try_recv() {
